@@ -9,15 +9,16 @@ from .beamfield import (CO_PROPAGATING, HEAD_ON, ElectronBeam, LaserField,
 from .emission import (AngularSpectrum, CrossSectionPoint, angular_spectrum,
                        averaged_cross_section, diff_cross_section,
                        klein_nishina_reference, transition_rate_density)
-from .errors import (BracketError, ClosedChannelError, ConfigError,
-                     DomainError, LightConeError, NumericError, QfelError)
+from .errors import (ClosedChannelError, ConfigError, DomainError,
+                     LightConeError, NumericError, QfelError)
 from .kinematics import (CoherenceProbe, EmissionKinematics, coherence_probe,
                          coherent_intensity_from_shift, compton_energy,
                          emitted_photon_energy, quasi_energy,
                          solve_final_state, wavelength_shift, wiggling_radius)
 from .amplitudes import (FGTable, HarmonicVectors, PolarizationBasis,
-                         fg_coefficients, harmonic_vectors,
-                         outgoing_polarization, polarization_basis)
+                         channel_polarization, fg_coefficients,
+                         harmonic_vectors, outgoing_polarization,
+                         polarization_basis)
 from .tube import (MultiSectionResult, TubeConfig, TubeProfile,
                    evolve_analytic, evolve_seeded, gain_coefficient,
                    output_intensity, run_cyclic, run_multi_section)

@@ -115,17 +115,14 @@ class HarmonicVectors:
 
 
 def harmonic_vectors(kin: EmissionKinematics, beam: ElectronBeam,
-                     laser: LaserField, sigma, harmonic=None):
+                     laser: LaserField, sigma):
     """Assemble the spin-keep and spin-flip emission vectors.
 
     Components on the transverse basis are sums over the three neighbor
     harmonics nu with weights J_{N-nu}(p'_perp R'); the flip vector
     carries the extra azimuthal phase e^{i sigma phi}.
     """
-    n = kin.harmonic if harmonic is None else harmonic
-    if n != kin.harmonic:
-        raise DomainError(
-            f"harmonic {n} does not match the kinematic bundle ({kin.harmonic})")
+    n = kin.harmonic
     table = fg_coefficients(kin, beam, laser, sigma)
     x = kin.p_perp_prime * kin.radius_prime
     bessel = {nu: bessel_jn(n - nu, x) for nu in (0, 1, -1)}
@@ -147,13 +144,19 @@ def harmonic_vectors(kin: EmissionKinematics, beam: ElectronBeam,
 
 
 def outgoing_polarization(kin: EmissionKinematics, beam: ElectronBeam,
-                          laser: LaserField, sigma, sigma_prime, harmonic=None):
-    """Unit polarization vector of the photon emitted in the given channel.
+                          laser: LaserField, sigma, sigma_prime):
+    """Unit polarization vector of the photon emitted in the given channel."""
+    vecs = harmonic_vectors(kin, beam, laser, sigma)
+    return channel_polarization(vecs, sigma, sigma_prime)
+
+
+def channel_polarization(vecs: HarmonicVectors, sigma, sigma_prime):
+    """Unit vector along the open channel's vector of ``harmonic_vectors(...,
+    sigma)``: the keep vector when sigma_prime == sigma, else the flip vector.
 
     The global phase is fixed by rotating the largest-magnitude component
     to the positive real axis, making comparisons deterministic.
     """
-    vecs = harmonic_vectors(kin, beam, laser, sigma, harmonic)
     if sigma_prime == sigma:
         v, mag = vecs.script_f, vecs.f_mag
     elif sigma_prime == -sigma:

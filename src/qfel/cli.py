@@ -5,7 +5,7 @@ Subcommands: kinematics (forward photon energy vs beam energy), angular
 and headline intensities), coherence (wavelength-shift diagnostics), and
 limits (derived scenario quantities).  Output is CSV with '#' comment
 metadata, written to --out or stdout.  Identical configurations produce
-byte-identical output regardless of the worker count.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,19 +16,16 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, physcore
 from .beamfield import (CO_PROPAGATING, HEAD_ON, ElectronBeam, LaserField,
                         critical_density, make_beam)
-from .emission import averaged_cross_section
+from .emission import angular_spectrum
 from .errors import ConfigError, QfelError
 from .kinematics import (coherence_probe, coherent_intensity_from_shift,
-                         emitted_photon_energy, solve_final_state,
-                         wiggling_radius)
-from .amplitudes import outgoing_polarization
+                         emitted_photon_energy, wiggling_radius)
 from .tube import (density_si_to_compton, gain_coefficient, run_cyclic,
                    run_multi_section)
 
@@ -81,6 +78,8 @@ def _assign(config, key, raw):
     if key not in _SCHEMA:
         raise ConfigError(f"unknown configuration key {key!r}")
     value = _coerce(key, raw)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key}: value {value!r} is not finite")
     check = _SCHEMA[key][2]
     if check is not None and not check(value):
         raise ConfigError(f"{key}: value {value!r} is out of range")
@@ -153,72 +152,54 @@ def _beam(config, laser=None, energy_mev=None):
         density_m3=config["beam.density_m3"], laser=laser)
 
 
-def _map_ordered(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def cmd_kinematics(config, threads=1):
+def cmd_kinematics(config):
     """Forward first-harmonic photon energy over the beam-energy sweep."""
     laser = _laser(config)
     energies = np.linspace(config["sweep.energy_min_mev"],
                            config["sweep.energy_max_mev"],
                            config["sweep.energy_points"])
-
-    def row(e_mev):
-        beam = _beam(config, energy_mev=float(e_mev))
-        kp = emitted_photon_energy(math.pi, 1, beam, laser)
-        return (float(e_mev), physcore.from_natural_energy(kp))
-
-    rows = _map_ordered(row, list(energies), threads)
     lines = _header("kinematics", config)
     lines.append("# columns: energy_mev,k_prime_mev")
-    lines.extend(",".join(_fmt(c) for c in r) for r in rows)
+    for e_mev in energies:
+        beam = _beam(config, energy_mev=float(e_mev))
+        kp = emitted_photon_energy(math.pi, 1, beam, laser)
+        lines.append(f"{_fmt(e_mev)},{_fmt(physcore.from_natural_energy(kp))}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_angular(config, threads=1):
+def cmd_angular(config):
     """Angular sweep of the averaged cross section and channel polarization."""
     laser = _laser(config)
-    beam = _beam(config, laser=laser)
-    thetas = np.linspace(0.0, math.pi, config["sweep.theta_points"])
-    harmonic_max = config["sweep.harmonic_max"]
-    sigma = config["beam.spin"]
-
-    def row(theta):
-        theta = float(theta)
-        kin = solve_final_state(theta, 1, beam, laser)
-        avg = averaged_cross_section(theta, beam, laser, n_occ=0,
-                                     harmonic_max=harmonic_max).value
-        pol = outgoing_polarization(kin, beam, laser, sigma, sigma)
-        return (theta / math.pi,
-                physcore.from_natural_energy(kin.k_prime),
-                1e6 * avg,
-                pol[0].real, pol[0].imag, pol[1].real, pol[1].imag)
-
-    rows = _map_ordered(row, list(thetas), threads)
+    spec = angular_spectrum(
+        _beam(config, laser=laser), laser,
+        np.linspace(0.0, math.pi, config["sweep.theta_points"]),
+        harmonic_max=config["sweep.harmonic_max"])
+    columns = (spec.thetas / math.pi,
+               physcore.from_natural_energy(spec.k_prime), 1e6 * spec.averaged,
+               spec.polarization_x.real, spec.polarization_x.imag,
+               spec.polarization_y.real, spec.polarization_y.imag)
     lines = _header("angular", config)
     lines.append("# columns: theta_over_pi,k_prime_mev,y_avg_xsec_times_1e6,"
                  "pol_x_re,pol_x_im,pol_y_re,pol_y_im")
-    lines.extend(",".join(_fmt(c) for c in r) for r in rows)
+    lines.extend(",".join(_fmt(c) for c in row) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
-def cmd_tube(config, threads=1):
+def cmd_tube(config):
     """Tube population profile plus headline densities and intensities."""
     laser = _laser(config)
     beam = _beam(config, laser=laser)
     length = config["tube.section_length_m"]
     sections = config["tube.sections"]
     cycles = config["tube.cycles"]
+    seed_m3 = config["tube.seed_density_m3"]
     if cycles > 1:
         result = run_cyclic(beam, laser, length, sections, cycles,
-                            config["tube.reflection_efficiency"])
+                            config["tube.reflection_efficiency"],
+                            seed_m3=seed_m3)
     else:
         result = run_multi_section(beam, laser, length, sections,
-                                   seed_m3=config["tube.seed_density_m3"])
+                                   seed_m3=seed_m3)
     lines = _header("tube", config)
     lines.append(f"# headline: forward photon energy [MeV] = "
                  f"{_fmt(result.photon_energy_mev)}")
@@ -248,7 +229,7 @@ def cmd_tube(config, threads=1):
     return "\n".join(lines) + "\n"
 
 
-def cmd_coherence(config, threads=1):
+def cmd_coherence(config):
     """Wavelength-shift diagnostics of a probe beam in a radiation field."""
     theta = config["coherence.theta_over_pi"] * math.pi
     beam = make_beam(config["coherence.probe_energy_mev"],
@@ -276,7 +257,7 @@ def cmd_coherence(config, threads=1):
     return "\n".join(lines) + "\n"
 
 
-def cmd_limits(config, threads=1):
+def cmd_limits(config):
     """Derived scenario quantities: eA, critical density, gain length, R."""
     laser = _laser(config)
     beam = _beam(config, laser=laser)
@@ -314,9 +295,9 @@ def _build_parser():
                         help="override one configuration value (repeatable)")
     parser.add_argument("--out", metavar="PATH",
                         help="write output to PATH instead of stdout")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for sweeps (output is identical "
-                             "for any count)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; sweeps run in one "
+                             "thread whatever the value (must be >= 1)")
     return parser
 
 
@@ -328,7 +309,7 @@ def main(argv=None):
         config = parse_config(args.config, args.overrides)
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        text = _COMMANDS[args.command](config, threads=args.threads)
+        text = _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"qfel: config error: {exc}", file=sys.stderr)
         return 2

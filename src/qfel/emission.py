@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import physcore
-from .amplitudes import harmonic_vectors, outgoing_polarization
+from .amplitudes import channel_polarization, harmonic_vectors
 from .beamfield import ElectronBeam, LaserField
 from .errors import ClosedChannelError, DomainError
 from .kinematics import EmissionKinematics, solve_final_state
@@ -32,6 +32,9 @@ class CrossSectionPoint:
     value: float                # [Compton wavelength^2 / sr]
     channel: str
     n_occ: int = 0
+    # harmonic 1 of the sum: kinematics and vectors by sigma (None if closed)
+    first: EmissionKinematics = field(default=None, repr=False, compare=False)
+    first_vectors: dict = field(default=None, repr=False, compare=False)
 
 
 def _channel_prefactor(kin: EmissionKinematics, beam: ElectronBeam,
@@ -95,11 +98,17 @@ def transition_rate_density(kin: EmissionKinematics, beam: ElectronBeam,
     return pref * amp2
 
 
-def _spin_summed_value(theta, beam, laser, n_occ, harmonic_max, phi_k=0.0):
-    """(1/2) sum over basis polarizations and both spin labels, summed over
-    open harmonics with adaptive truncation.  Returns (value, n_used)."""
+def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
+                           n_occ=0, harmonic_max=DEFAULT_HARMONIC_MAX,
+                           phi_k=0.0):
+    """Spin-averaged, polarization-summed differential cross section at theta:
+    (1/2) sum over basis polarizations and both spin labels, summed over
+    open harmonics with adaptive truncation."""
+    if not 0.0 <= theta <= math.pi:
+        raise DomainError(f"theta must lie in [0, pi], got {theta}")
     total = 0.0
     n_used = 0
+    first = first_vectors = None
     for n in range(1, harmonic_max + 1):
         try:
             kin = solve_final_state(theta, n, beam, laser, phi_k=phi_k)
@@ -107,26 +116,19 @@ def _spin_summed_value(theta, beam, laser, n_occ, harmonic_max, phi_k=0.0):
             break
         pref = _channel_prefactor(kin, beam, laser, n_occ)
         term = 0.0
+        vectors = {}
         for sigma in (1, -1):
-            vecs = harmonic_vectors(kin, beam, laser, sigma)
+            vecs = vectors[sigma] = harmonic_vectors(kin, beam, laser, sigma)
             term += pref * (vecs.f_mag**2 + vecs.g_mag**2)
+        if n == 1:
+            first, first_vectors = kin, vectors
         total += 0.5 * term
         n_used = n
         if term <= _TRUNCATION_RTOL * total:
             break
-    return total, n_used
-
-
-def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
-                           n_occ=0, harmonic_max=DEFAULT_HARMONIC_MAX,
-                           phi_k=0.0):
-    """Spin-averaged, polarization-summed differential cross section at theta."""
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
-    value, n_used = _spin_summed_value(theta, beam, laser, n_occ, harmonic_max,
-                                       phi_k=phi_k)
-    return CrossSectionPoint(theta=theta, harmonic=n_used, value=value,
-                             channel="spin-averaged", n_occ=n_occ)
+    return CrossSectionPoint(theta=theta, harmonic=n_used, value=total,
+                             channel="spin-averaged", n_occ=n_occ,
+                             first=first, first_vectors=first_vectors)
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ class AngularSpectrum:
     thetas: np.ndarray
     k_prime: np.ndarray             # [m_e]
     averaged: np.ndarray            # [Compton wavelength^2 / sr]
-    polarization_x: np.ndarray      # complex x-component of the dominant channel
+    polarization_x: np.ndarray      # complex x-component, spin-keep channel
     polarization_y: np.ndarray
     beam: ElectronBeam = field(repr=False, default=None)
     laser: LaserField = field(repr=False, default=None)
@@ -146,8 +148,9 @@ class AngularSpectrum:
 
 def angular_spectrum(beam: ElectronBeam, laser: LaserField, theta_grid,
                      n_occ=0, harmonic_max=DEFAULT_HARMONIC_MAX):
-    """Averaged cross section, first-harmonic photon energy, and dominant
-    channel polarization over an ordered theta grid."""
+    """Averaged cross section, first-harmonic photon energy, and the
+    polarization of the beam-spin keep channel (sigma' = sigma = beam.spin)
+    over an ordered theta grid, from one averaged_cross_section per angle."""
     thetas = np.asarray(theta_grid, dtype=float)
     if thetas.ndim != 1 or thetas.size < 1:
         raise DomainError("theta grid must be a non-empty 1-D array")
@@ -157,12 +160,16 @@ def angular_spectrum(beam: ElectronBeam, laser: LaserField, theta_grid,
     avg = np.empty_like(thetas)
     pol_x = np.empty(thetas.size, dtype=complex)
     pol_y = np.empty(thetas.size, dtype=complex)
+    sigma = beam.spin
     for j, theta in enumerate(thetas):
-        kin = solve_final_state(theta, 1, beam, laser)
-        kp[j] = kin.k_prime
-        avg[j] = averaged_cross_section(theta, beam, laser, n_occ=n_occ,
-                                        harmonic_max=harmonic_max).value
-        pol = outgoing_polarization(kin, beam, laser, 1, 1)
+        point = averaged_cross_section(float(theta), beam, laser, n_occ=n_occ,
+                                       harmonic_max=harmonic_max)
+        if point.first is None:
+            raise ClosedChannelError(
+                f"no open emission channel at theta={theta}, harmonic=1")
+        kp[j] = point.first.k_prime
+        avg[j] = point.value
+        pol = channel_polarization(point.first_vectors[sigma], sigma, sigma)
         pol_x[j], pol_y[j] = pol[0], pol[1]
     return AngularSpectrum(thetas=thetas, k_prime=kp, averaged=avg,
                            polarization_x=pol_x, polarization_y=pol_y,

@@ -9,10 +9,6 @@ class DomainError(QfelError, ValueError):
     """An input is outside the physically or numerically supported domain."""
 
 
-class BracketError(QfelError, ValueError):
-    """A root-finding interval does not bracket a sign change."""
-
-
 class NumericError(QfelError, ArithmeticError):
     """A numerical routine produced NaN/Inf or otherwise failed to converge."""
 

@@ -169,6 +169,10 @@ def coherent_intensity_from_shift(measured_shift, theta, beam: ElectronBeam,
         return 0.0
     ref = LaserField(wavelength_nm=radiation_wavelength_nm, intensity_w_m2=1.0)
     shift_per_w_m2 = wavelength_shift(theta, beam, ref)
+    if shift_per_w_m2 == 0.0:
+        raise DomainError(
+            f"the shift does not depend on the intensity at theta={theta}; "
+            "a measured shift cannot be inverted there")
     return measured_shift / shift_per_w_m2
 
 

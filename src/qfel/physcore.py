@@ -9,9 +9,8 @@ boundaries.  Constants are frozen at CODATA-2018 values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import BracketError, DomainError, NumericError
+from .errors import DomainError, NumericError
 
 # CODATA-2018
 ELECTRON_MASS_MEV = 0.51099895000          # m_e c^2 [MeV]
@@ -25,19 +24,6 @@ COMPTON_WAVELENGTH_M = HBAR_C_MEV_NM / ELECTRON_MASS_MEV * 1e-9   # hbar/(m c) [
 ELECTRON_MASS_J = ELECTRON_MASS_MEV * 1e6 * ELEMENTARY_CHARGE     # m_e c^2 [J]
 # m c^3 [W m]; the denominator of the coherence-amplitude formula
 MC3_W_M = ELECTRON_MASS_J * SPEED_OF_LIGHT
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Frozen constant table; one instance (``UNITS``) is shared."""
-
-    electron_mass_MeV: float = ELECTRON_MASS_MEV
-    compton_wavelength_m: float = COMPTON_WAVELENGTH_M
-    fine_structure: float = FINE_STRUCTURE
-    hbar_c_MeV_nm: float = HBAR_C_MEV_NM
-
-
-UNITS = UnitSystem()
 
 
 def to_natural_energy(e_mev):
@@ -145,55 +131,7 @@ def _bessel_miller(n, x):
 
 
 # ---------------------------------------------------------------------------
-# Root finding and fixed-step ODE integration.
-
-
-@dataclass(frozen=True)
-class RootBracket:
-    lo: float
-    hi: float
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-        if self.tol <= 0.0:
-            raise DomainError(f"tolerance must be > 0, got {self.tol}")
-
-
-def find_root(f, bracket: RootBracket):
-    """Deterministic bisection/secant hybrid on a sign-changing bracket."""
-    lo, hi = bracket.lo, bracket.hi
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise BracketError(f"f({lo})={flo} and f({hi})={fhi} do not bracket a root")
-    for _ in range(200):
-        # secant proposal, clipped into the bracket; fall back to bisection
-        denom = fhi - flo
-        mid = 0.5 * (lo + hi)
-        if denom != 0.0:
-            x = hi - fhi * (hi - lo) / denom
-            if not (lo < x < hi):
-                x = mid
-        else:
-            x = mid
-        fx = f(x)
-        if not math.isfinite(fx):
-            raise NumericError(f"function returned non-finite value at x={x}")
-        if fx == 0.0:
-            return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        scale = max(abs(lo), abs(hi), 1e-300)
-        if hi - lo <= bracket.tol * scale:
-            break
-    return 0.5 * (lo + hi)
+# Fixed-step ODE integration.
 
 
 def integrate_ode(rhs, y0, span, steps):

@@ -51,8 +51,6 @@ class TubeConfig:
     gain: float                  # a, dimensionless
     n0: float                    # initial electron density
     seed: float = 0.0            # photon density entering the section
-    sections: int = 1
-    reflection_efficiency: float = 1.0
 
     def __post_init__(self):
         if self.length_m < 0.0:
@@ -61,10 +59,6 @@ class TubeConfig:
             raise DomainError(f"gain coefficient must be > 0, got {self.gain}")
         if self.n0 < 0.0 or self.seed < 0.0:
             raise DomainError("densities must be >= 0")
-        if self.sections < 1:
-            raise DomainError(f"section count must be >= 1, got {self.sections}")
-        if not 0.0 <= self.reflection_efficiency <= 1.0:
-            raise DomainError("reflection efficiency must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,8 @@ def gain_coefficient(beam: ElectronBeam, laser: LaserField):
 
 def _quadratic_roots(n0, seed):
     """Roots of the RHS quadratic 2n^2 - b n + c; discriminant is provably
-    positive for physical inputs."""
+    positive for physical inputs.  The lower root is taken from the root
+    product c/2, since (b - d)/4 cancels when c << b^2."""
     b = 2.0 * seed + 3.0 * n0 + 1.0
     c = n0 * (n0 + seed)
     disc = b * b - 8.0 * c
@@ -99,7 +94,7 @@ def _quadratic_roots(n0, seed):
             f"non-positive discriminant {disc} for n0={n0}, seed={seed}; "
             "cannot happen for non-negative densities")
     d = math.sqrt(disc)
-    return (b - d) / 4.0, (b + d) / 4.0, d
+    return 2.0 * c / (b + d), (b + d) / 4.0, d
 
 
 def evolve_seeded(config: TubeConfig, samples=200):
@@ -227,9 +222,10 @@ def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
 
 def run_cyclic(beam: ElectronBeam, laser: LaserField, section_length_m,
                sections_per_cycle, cycles, efficiency, n0_m3=None,
-               samples=200):
+               seed_m3=0.0, samples=200):
     """Cyclic intensifier: a linear chain per cycle, with the photon density
-    scaled by the reflection efficiency between cycles.
+    scaled by the reflection efficiency between cycles.  seed_m3 is the
+    photon density entering the first cycle.
 
     With efficiency 1 this equals one long chain; with efficiency 0 every
     cycle starts cold, so the output is a single pass.
@@ -239,7 +235,6 @@ def run_cyclic(beam: ElectronBeam, laser: LaserField, section_length_m,
     if not 0.0 <= efficiency <= 1.0:
         raise DomainError("reflection efficiency must lie in [0, 1]")
     result = None
-    seed_m3 = 0.0
     notes = []
     for c in range(cycles):
         result = run_multi_section(beam, laser, section_length_m,

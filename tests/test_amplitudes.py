@@ -97,11 +97,6 @@ class TestHarmonicVectors:
         assert up.g_mag != down.g_mag
         assert max(up.g_mag, down.g_mag) < 1e-6 * up.f_mag
 
-    def test_harmonic_mismatch_rejected(self):
-        kin = solve_final_state(0.9 * math.pi, 1, BEAM, LASER)
-        with pytest.raises(DomainError):
-            harmonic_vectors(kin, BEAM, LASER, 1, harmonic=2)
-
 
 class TestOutgoingPolarization:
     def test_unit_norm_and_phase_fix(self):

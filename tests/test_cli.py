@@ -8,8 +8,11 @@ import sys
 
 import pytest
 
-from qfel.cli import main, parse_config
+import qfel.emission
+from qfel.beamfield import LaserField, make_beam
+from qfel.cli import _SCHEMA, main, parse_config
 from qfel.errors import ConfigError
+from qfel.tube import run_multi_section
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -68,6 +71,14 @@ class TestParseConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config("/no/such/file.cfg", [])
+
+    def test_non_finite_floats_named(self):
+        float_keys = [k for k, entry in _SCHEMA.items() if entry[0] is float]
+        assert float_keys
+        for key in float_keys:
+            for raw in ("inf", "nan"):
+                with pytest.raises(ConfigError, match=key):
+                    parse_config(None, [f"{key}={raw}"])
 
     def test_inverted_energy_window(self):
         with pytest.raises(ConfigError):
@@ -133,6 +144,39 @@ class TestAngularCommand:
         assert last[5] == pytest.approx(0.0, abs=1e-9)
         assert last[6] == pytest.approx(-inv_sqrt2, abs=1e-9)
 
+    @pytest.mark.parametrize("intensity", ["1e19", "1e24"])
+    def test_one_solve_and_two_vector_builds_per_harmonic(
+            self, tmp_path, monkeypatch, intensity):
+        counts = {"solves": 0, "vectors": 0}
+        used = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        averaged = qfel.emission.averaged_cross_section
+
+        def recording(*args, **kwargs):
+            point = averaged(*args, **kwargs)
+            used.append(point.harmonic)
+            return point
+
+        monkeypatch.setattr(qfel.emission, "solve_final_state", counting(
+            "solves", qfel.emission.solve_final_state))
+        monkeypatch.setattr(qfel.emission, "harmonic_vectors", counting(
+            "vectors", qfel.emission.harmonic_vectors))
+        monkeypatch.setattr(qfel.emission, "averaged_cross_section", recording)
+        code, _ = run_cli(["angular", "--set", "sweep.theta_points=24",
+                           "--set", f"laser.intensity_w_m2={intensity}"],
+                          tmp_path)
+        assert code == 0
+        assert len(used) == 24
+        assert sum(used) > 24
+        assert counts["solves"] == sum(used)
+        assert counts["vectors"] == 2 * sum(used)
+
 
 class TestTubeCommand:
     def test_headlines_present(self, tmp_path):
@@ -147,6 +191,16 @@ class TestTubeCommand:
         for row in data_rows(text):
             cells = parse_cells(row.split(",", 1)[1])
             assert cells[3] == pytest.approx(0.0, abs=1e-12)
+
+    def test_cyclic_run_takes_the_seed(self, tmp_path):
+        _, text = run_cli(["tube", "--set", "tube.cycles=2",
+                           "--set", "tube.seed_density_m3=1e17"], tmp_path)
+        line = next(l for l in text.splitlines() if "exact chain [1/m^3]" in l)
+        chain = run_multi_section(make_beam(307.0, density_m3=1e18),
+                                  LaserField(785.0, 1e19), 0.01, 2,
+                                  seed_m3=1e17)
+        assert float(line.rsplit("=", 1)[1]) == pytest.approx(
+            chain.photon_density_m3, rel=1e-10)
 
 
 class TestCoherenceCommand:
@@ -166,6 +220,12 @@ class TestCoherenceCommand:
         assert headline("fractional wavelength shift") == pytest.approx(
             2.77e-3, rel=5e-2)
         assert headline("coherent fraction") == pytest.approx(0.1, rel=1e-2)
+
+    def test_on_axis_inversion_is_domain_error(self, capsys):
+        # the shift vanishes at theta = 0 whatever the intensity
+        assert main(["coherence", "--set", "coherence.theta_over_pi=0",
+                     "--set", "coherence.measured_shift=1e-4"]) == 3
+        assert "cannot be inverted" in capsys.readouterr().err
 
 
 class TestGoldenFiles:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qfel.beamfield import LaserField, make_beam
+from qfel.amplitudes import outgoing_polarization
 from qfel.emission import (angular_spectrum, averaged_cross_section,
                            diff_cross_section, klein_nishina_reference,
                            klein_nishina_rest, transition_rate_density)
@@ -110,6 +111,20 @@ class TestAngularSpectrum:
         assert spectrum.averaged.shape == thetas.shape
         assert np.all(np.diff(spectrum.averaged) > 0.0)
         assert np.all(spectrum.averaged >= 0.0)
+
+    def test_spin_down_beam_polarization(self):
+        # at eA ~ 5 the two keep channels differ at O(1) near theta = pi
+        strong = LaserField(785.0, 1e24)
+        beam = make_beam(307.0, spin=-1)
+        thetas = np.linspace(0.5 * math.pi, math.pi, 5)
+        spectrum = angular_spectrum(beam, strong, thetas)
+        kins = [solve_final_state(t, 1, beam, strong) for t in thetas]
+        want = np.array([outgoing_polarization(kin, beam, strong, -1, -1)
+                         for kin in kins])
+        np.testing.assert_array_equal(spectrum.k_prime,
+                                      [kin.k_prime for kin in kins])
+        np.testing.assert_array_equal(spectrum.polarization_x, want[:, 0])
+        np.testing.assert_array_equal(spectrum.polarization_y, want[:, 1])
 
     def test_invalid_grid(self):
         with pytest.raises(DomainError):

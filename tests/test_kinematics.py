@@ -160,3 +160,9 @@ class TestWavelengthShift:
             coherent_intensity_from_shift(-1e-3, math.pi, self.BEAM, 0.8707)
         assert coherent_intensity_from_shift(0.0, math.pi, self.BEAM,
                                              0.8707) == 0.0
+
+    def test_inversion_on_axis_rejected(self):
+        # at theta = 0 the shift does not depend on the intensity
+        assert wavelength_shift(0.0, self.BEAM, self.RADIATION) == 0.0
+        with pytest.raises(DomainError):
+            coherent_intensity_from_shift(1e-4, 0.0, self.BEAM, 0.8707)

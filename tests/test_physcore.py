@@ -8,7 +8,7 @@ import scipy.special
 import scipy.integrate
 
 from qfel import physcore
-from qfel.errors import BracketError, DomainError, NumericError
+from qfel.errors import DomainError, NumericError
 
 
 class TestConstants:
@@ -90,28 +90,6 @@ class TestBessel:
     def test_huge_argument_rejected(self):
         with pytest.raises(DomainError):
             physcore.bessel_jn(0, 1e7)
-
-
-class TestRootFinder:
-    def test_simple_quadratic(self):
-        root = physcore.find_root(lambda x: x * x - 2.0,
-                                  physcore.RootBracket(0.0, 2.0))
-        assert root == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-    def test_transcendental(self):
-        root = physcore.find_root(lambda x: math.cos(x) - x,
-                                  physcore.RootBracket(0.0, 1.0))
-        assert math.cos(root) == pytest.approx(root, abs=1e-12)
-
-    def test_invalid_bracket(self):
-        with pytest.raises(BracketError):
-            physcore.find_root(lambda x: x * x + 1.0,
-                               physcore.RootBracket(-1.0, 1.0))
-
-    def test_deterministic(self):
-        bracket = physcore.RootBracket(0.0, 5.0)
-        f = lambda x: math.exp(x) - 4.0
-        assert physcore.find_root(f, bracket) == physcore.find_root(f, bracket)
 
 
 class TestOdeIntegrator:

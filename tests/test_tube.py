@@ -93,6 +93,17 @@ class TestClosedFormsVsRK4:
         prof = evolve_seeded(cfg, samples=2)
         assert prof.asymptote == pytest.approx(cfg.n0, rel=1e-6)
 
+    def test_dilute_fixed_point(self):
+        # at realistic densities the electron density settles on the lower
+        # root n0 (n0 + N0) / b from above, without cancelling to zero
+        n0 = density_si_to_compton(1e18)
+        for seed in (0.0, density_si_to_compton(1e17)):
+            cfg = TubeConfig(length_m=1.0, gain=1.1e-6, n0=n0, seed=seed)
+            prof = evolve_seeded(cfg)
+            want = n0 * (n0 + seed) / (2.0 * seed + 3.0 * n0 + 1.0)
+            assert prof.n[-1] == pytest.approx(want, rel=1e-12)
+            assert np.all(prof.n >= want * (1.0 - 1e-12))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             TubeConfig(length_m=-1.0, gain=1e-6, n0=1.0)
@@ -155,6 +166,12 @@ class TestCyclic:
         cyclic = run_cyclic(BEAM, LASER, 0.01, 2, 3, 1.0)
         assert cyclic.photon_density_m3 == pytest.approx(
             chain.photon_density_m3, rel=1e-10)
+
+    def test_seed_enters_first_cycle(self):
+        chain = run_multi_section(BEAM, LASER, 0.01, 4, seed_m3=1e17)
+        cyclic = run_cyclic(BEAM, LASER, 0.01, 2, 2, 1.0, seed_m3=1e17)
+        assert cyclic.photon_density_m3 == pytest.approx(
+            chain.photon_density_m3, rel=1e-12)
 
     def test_band_warning_for_hard_gamma(self):
         # 2.26 MeV photons are far below the Bragg-reflectable wavelength
