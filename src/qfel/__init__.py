@@ -10,11 +10,11 @@ from .emission import (AngularSpectrum, CrossSectionPoint, angular_spectrum,
                        averaged_cross_section, diff_cross_section,
                        klein_nishina_reference, transition_rate_density)
 from .errors import (ClosedChannelError, ConfigError, DomainError,
-                     LightConeError, NumericError, QfelError)
+                     NumericError, QfelError)
 from .kinematics import (CoherenceProbe, EmissionKinematics, coherence_probe,
                          coherent_intensity_from_shift, compton_energy,
-                         emitted_photon_energy, quasi_energy,
-                         solve_final_state, wavelength_shift, wiggling_radius)
+                         emitted_photon_energy, solve_final_state,
+                         wavelength_shift, wiggling_radius)
 from .amplitudes import (FGTable, HarmonicVectors, PolarizationBasis,
                          channel_polarization, fg_coefficients,
                          harmonic_vectors, outgoing_polarization,

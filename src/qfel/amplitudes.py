@@ -65,7 +65,7 @@ def fg_coefficients(kin: EmissionKinematics, beam: ElectronBeam,
     ct, st = math.cos(kin.theta), math.sin(kin.theta)
     s0, d0 = beam.e_plus_pz, beam.e_minus_pz
     s1, d1 = kin.e_plus_pz_prime, kin.e_minus_pz_prime
-    pz, pzp = beam.pz, kin.pz_prime
+    pz = beam.pz
     pp = kin.p_perp_prime
     em = beam.energy + 1.0              # E + m
     emp = kin.e_prime + 1.0             # E' + m

@@ -48,6 +48,10 @@ class LaserField:
         object.__setattr__(self, "k", physcore.wave_number_natural(self.wavelength_nm))
         object.__setattr__(
             self, "ea", coherence_amplitude(self.wavelength_nm, self.intensity_w_m2))
+        if not (0.0 < self.k < math.inf and self.ea * self.ea < math.inf):
+            raise DomainError(
+                f"a {self.wavelength_nm} nm, {self.intensity_w_m2} W/m^2 wave has "
+                "a photon energy or amplitude outside the floating-point range")
 
     def photon_density_compton(self):
         """Photon number per Compton volume of the coherent wave.
@@ -95,6 +99,9 @@ def make_beam(energy_mev, direction=HEAD_ON, spin=1, density_m3=0.0,
         raise DomainError(
             f"beam energy {energy_mev} MeV is below the electron rest mass")
     p = math.sqrt((e - 1.0) * (e + 1.0))
+    if p == math.inf:
+        raise DomainError(
+            f"beam energy {energy_mev} MeV is outside the floating-point range")
     if direction == HEAD_ON:
         pz = -p
         e_minus_pz = e + p

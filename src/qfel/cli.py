@@ -270,7 +270,7 @@ def cmd_limits(config):
     lines.append(f"# headline: gain coefficient a = {_fmt(a)}")
     lines.append(f"# headline: gain length lambda_c/a [m] = {_fmt(gain_length)}")
     lines.append(f"# headline: wiggling radius R = "
-                 f"{_fmt(wiggling_radius(beam.energy, beam.pz, laser))}")
+                 f"{_fmt(wiggling_radius(beam, laser))}")
     return "\n".join(lines) + "\n"
 
 

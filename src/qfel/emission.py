@@ -18,7 +18,7 @@ import numpy as np
 from . import physcore
 from .amplitudes import channel_polarization, harmonic_vectors
 from .beamfield import ElectronBeam, LaserField
-from .errors import ClosedChannelError, DomainError
+from .errors import DomainError, NumericError
 from .kinematics import EmissionKinematics, solve_final_state
 
 DEFAULT_HARMONIC_MAX = 8
@@ -32,15 +32,18 @@ class CrossSectionPoint:
     value: float                # [Compton wavelength^2 / sr]
     channel: str
     n_occ: int = 0
-    # harmonic 1 of the sum: kinematics and vectors by sigma (None if closed)
+    # harmonic 1 of the sum: kinematics and vectors by sigma
     first: EmissionKinematics = field(default=None, repr=False, compare=False)
     first_vectors: dict = field(default=None, repr=False, compare=False)
 
 
 def _channel_prefactor(kin: EmissionKinematics, beam: ElectronBeam,
                        laser: LaserField, n_occ):
+    if beam.pz == 0.0:
+        raise DomainError("the cross section per unit flux is undefined for a "
+                          "beam at rest")
     alpha = physcore.FINE_STRUCTURE
-    return (alpha * kin.k_prime**2 * (n_occ + 1)
+    return (alpha * kin.k_prime * kin.k_prime * (n_occ + 1)
             / (8.0 * math.pi * kin.harmonic * laser.k * abs(beam.pz)
                * beam.e_minus_pz * (beam.energy + 1.0) * (kin.e_prime + 1.0)))
 
@@ -103,30 +106,28 @@ def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
                            phi_k=0.0):
     """Spin-averaged, polarization-summed differential cross section at theta:
     (1/2) sum over basis polarizations and both spin labels, summed over
-    open harmonics with adaptive truncation."""
+    harmonics 1..harmonic_max with adaptive truncation."""
     if not 0.0 <= theta <= math.pi:
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    if harmonic_max < 1:
+        raise DomainError(f"harmonic_max must be >= 1, got {harmonic_max}")
     total = 0.0
-    n_used = 0
-    first = first_vectors = None
     for n in range(1, harmonic_max + 1):
-        try:
-            kin = solve_final_state(theta, n, beam, laser, phi_k=phi_k)
-        except ClosedChannelError:
-            break
+        kin = solve_final_state(theta, n, beam, laser, phi_k=phi_k)
         pref = _channel_prefactor(kin, beam, laser, n_occ)
         term = 0.0
         vectors = {}
         for sigma in (1, -1):
             vecs = vectors[sigma] = harmonic_vectors(kin, beam, laser, sigma)
-            term += pref * (vecs.f_mag**2 + vecs.g_mag**2)
+            term += pref * (vecs.f_mag * vecs.f_mag + vecs.g_mag * vecs.g_mag)
         if n == 1:
             first, first_vectors = kin, vectors
         total += 0.5 * term
-        n_used = n
         if term <= _TRUNCATION_RTOL * total:
             break
-    return CrossSectionPoint(theta=theta, harmonic=n_used, value=total,
+    if not math.isfinite(total):
+        raise NumericError(f"the cross section at theta={theta} is not finite")
+    return CrossSectionPoint(theta=theta, harmonic=n, value=total,
                              channel="spin-averaged", n_occ=n_occ,
                              first=first, first_vectors=first_vectors)
 
@@ -164,9 +165,6 @@ def angular_spectrum(beam: ElectronBeam, laser: LaserField, theta_grid,
     for j, theta in enumerate(thetas):
         point = averaged_cross_section(float(theta), beam, laser, n_occ=n_occ,
                                        harmonic_max=harmonic_max)
-        if point.first is None:
-            raise ClosedChannelError(
-                f"no open emission channel at theta={theta}, harmonic=1")
         kp[j] = point.first.k_prime
         avg[j] = point.value
         pol = channel_polarization(point.first_vectors[sigma], sigma, sigma)

@@ -13,10 +13,6 @@ class NumericError(QfelError, ArithmeticError):
     """A numerical routine produced NaN/Inf or otherwise failed to converge."""
 
 
-class LightConeError(DomainError):
-    """E - p_z vanished; light-cone quantities are singular."""
-
-
 class ClosedChannelError(DomainError):
     """The requested emission channel is kinematically or dynamically closed."""
 

@@ -4,6 +4,12 @@ Conventions: the laser propagates along +z; theta is the polar angle of
 the emitted photon measured from +z, so for a head-on beam the forward
 direction of the electrons is theta = pi.  The harmonic order of the
 distorted electron wave is a positive integer (the dominant channel is 1).
+
+Everything is written in the light-cone components d = E - p_z and
+s = E + p_z that ``ElectronBeam`` stores, never formed by subtraction.
+The selection rules make the final mass shell linear in the photon
+energy k', so k' is an exact closed form for any beam energy in either
+direction, and no root is solved.
 """
 
 from __future__ import annotations
@@ -12,50 +18,41 @@ import math
 from dataclasses import dataclass
 
 from . import physcore
-from .beamfield import ElectronBeam, LaserField, coherence_amplitude
-from .errors import ClosedChannelError, DomainError, LightConeError
+from .beamfield import ElectronBeam, LaserField
+from .errors import ClosedChannelError, DomainError
 
 
-def wiggling_radius(e, pz, laser: LaserField):
-    """Dimensionless wiggling radius eA / (k (E - p_z))."""
-    d = e - pz
-    if d == 0.0:
-        raise LightConeError("E - p_z = 0: wiggling radius diverges")
-    return laser.ea / (laser.k * d)
+def wiggling_radius(beam: ElectronBeam, laser: LaserField):
+    """Dimensionless wiggling radius eA / (k (E - p_z)) of the beam electrons."""
+    return laser.ea / (laser.k * beam.e_minus_pz)
 
 
-def quasi_energy(n, sigma, pz, p_perp, laser: LaserField):
-    """Quasi-energy of the dressed electron level (n, sigma) in the laser."""
-    e = math.sqrt(pz * pz + p_perp * p_perp + 1.0)
-    d = e - pz
-    if d == 0.0:
-        raise LightConeError("E - p_z = 0: quasi-energy is singular")
-    return e + laser.ea**2 / (2.0 * d) + (0.5 * sigma - n) * laser.k
+def _light_cone_denominator(theta, beam: ElectronBeam, q):
+    """E + q - (p_z + q) cos theta in light-cone variables,
+    (s0 + 2q) sin^2(theta/2) + d0 cos^2(theta/2), a sum of non-negative
+    terms that never cancels (d0 = E - p_z, s0 = E + p_z)."""
+    return ((beam.e_plus_pz + 2.0 * q) * math.sin(0.5 * theta) ** 2
+            + beam.e_minus_pz * math.cos(0.5 * theta) ** 2)
 
 
 def compton_energy(theta, beam: ElectronBeam, k):
     """Scattered photon energy in the zero-amplitude (Compton) limit."""
-    num = k * beam.e_minus_pz
-    den = beam.energy + k - (beam.pz + k) * math.cos(theta)
-    if den <= 0.0:
-        raise DomainError("vanishing denominator in the Compton formula")
-    return num / den
+    return k * beam.e_minus_pz / _light_cone_denominator(theta, beam, k)
 
 
 def emitted_photon_energy(theta, harmonic, beam: ElectronBeam, laser: LaserField):
-    """Closed-form photon energy at polar angle theta in harmonic channel N.
+    """Photon energy at polar angle theta in harmonic channel N.
 
+    N k (E - p_z) / (E + q - (p_z + q) cos theta) with
+    q = N k + eA^2 / (2 (E - p_z)): the exact root of the selection rules.
     Reduces to the Compton value when the laser amplitude vanishes; at
     theta = 0 it collapses to N*k exactly.
     """
     if harmonic < 1:
         raise ClosedChannelError(f"harmonic order must be >= 1, got {harmonic}")
     q = harmonic * laser.k + laser.ea**2 / (2.0 * beam.e_minus_pz)
-    num = harmonic * laser.k * beam.e_minus_pz
-    den = beam.energy + q - (beam.pz + q) * math.cos(theta)
-    if den <= 0.0:
-        raise DomainError("vanishing denominator in the emission-energy formula")
-    return num / den
+    return harmonic * laser.k * beam.e_minus_pz / _light_cone_denominator(
+        theta, beam, q)
 
 
 @dataclass(frozen=True)
@@ -73,75 +70,32 @@ class EmissionKinematics:
     radius: float               # R of the initial electron
     radius_prime: float         # R' of the final electron
     phi_k: float = 0.0
-    closed_form_rel_diff: float = 0.0   # |k' - closed form| / k'
 
 
 def solve_final_state(theta, harmonic, beam: ElectronBeam, laser: LaserField,
                       phi_k=0.0):
-    """Solve the quasi-momentum/energy selection rules for the final state.
+    """Final state of the quasi-momentum/energy selection rules.
 
-    Finds k' by deterministic bisection on the final-state mass-shell
-    residual, with R' computed self-consistently from
-    E' - p'_z = (E - p_z) - k'(1 - cos theta).  The returned bundle also
-    records the relative deviation of the closed-form energy formula,
-    which drops the R' back-reaction term.
+    With E' - p'_z = (E - p_z) - k'(1 - cos theta) and the self-consistent
+    R' = eA / (k (E' - p'_z)), the final mass shell is linear in k', so
+    its root is ``emitted_photon_energy``.  The final light-cone
+    components follow without subtraction:
+    E' - p'_z = (E - p_z) D(eA^2 / (2 (E - p_z))) / D(q) with D the
+    emission-energy denominator, and E' + p'_z = (1 + p'_perp^2) / (E' - p'_z)
+    from the mass shell.
     """
-    if harmonic < 1:
-        raise ClosedChannelError(f"harmonic order must be >= 1, got {harmonic}")
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    d0 = beam.e_minus_pz              # E - p_z of the initial electron
-    s0 = beam.e_plus_pz
-    nk = harmonic * laser.k
-    ea, k = laser.ea, laser.k
-    radius = wiggling_radius(beam.energy, beam.pz, laser)
-
-    def light_cone(kp):
-        return d0 - kp * (1.0 - ct)
-
-    def residual(kp):
-        d = light_cone(kp)
-        rp = ea / (k * d)
-        s = s0 + 2.0 * nk - ea * (rp - radius) * k - kp * (1.0 + ct)
-        return d * s - 1.0 - (kp * st) ** 2
-
-    # Bracket: residual(0+) = 2 N k (E - p_z) > 0; towards the light-cone
-    # edge (or the energy bound) the residual turns negative.
-    lo = 1e-18
-    if ct < 1.0:
-        hi = d0 / (1.0 - ct) * (1.0 - 1e-15)
-    else:
-        hi = beam.energy - 1.0 + nk + laser.k
-    flo, fhi = residual(lo), residual(hi)
-    if flo <= 0.0:
-        raise ClosedChannelError(
-            f"no open emission channel at theta={theta}, harmonic={harmonic}")
-    while fhi > 0.0:
-        hi *= 2.0
-        fhi = residual(hi)
-        if hi > d0 / max(1.0 - ct, 1e-300) or hi > 1e12:
-            raise ClosedChannelError(
-                f"no root found for theta={theta}, harmonic={harmonic}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    kp = 0.5 * (lo + hi)
-
-    d = light_cone(kp)
-    rp = ea / (k * d)
-    s = s0 + 2.0 * nk - ea * (rp - radius) * k - kp * (1.0 + ct)
-    closed = emitted_photon_energy(theta, harmonic, beam, laser)
+    kp = emitted_photon_energy(theta, harmonic, beam, laser)
+    shift = laser.ea**2 / (2.0 * beam.e_minus_pz)
+    d = (beam.e_minus_pz * _light_cone_denominator(theta, beam, shift)
+         / _light_cone_denominator(theta, beam, harmonic * laser.k + shift))
+    pp = kp * math.sin(theta)
+    s = (1.0 + pp * pp) / d
     return EmissionKinematics(
         theta=theta, harmonic=harmonic, k_prime=kp,
         e_prime=0.5 * (s + d), pz_prime=0.5 * (s - d),
-        p_perp_prime=kp * st, e_minus_pz_prime=d, e_plus_pz_prime=s,
-        radius=radius, radius_prime=rp, phi_k=phi_k,
-        closed_form_rel_diff=abs(kp - closed) / kp)
+        p_perp_prime=pp, e_minus_pz_prime=d, e_plus_pz_prime=s,
+        radius=wiggling_radius(beam, laser),
+        radius_prime=laser.ea / (laser.k * d), phi_k=phi_k)
 
 
 def wavelength_shift(theta, beam: ElectronBeam, radiation: LaserField):
@@ -151,12 +105,8 @@ def wavelength_shift(theta, beam: ElectronBeam, radiation: LaserField):
     (eA sin(theta/2))^2 / ((E - p_z) [E + k - (p_z + k) cos theta]);
     linear in the coherent intensity.
     """
-    sh = math.sin(0.5 * theta)
-    den = beam.e_minus_pz * (
-        beam.energy + radiation.k - (beam.pz + radiation.k) * math.cos(theta))
-    if den <= 0.0:
-        raise DomainError("vanishing denominator in the wavelength-shift formula")
-    return (radiation.ea * sh) ** 2 / den
+    return (radiation.ea * math.sin(0.5 * theta)) ** 2 / (
+        beam.e_minus_pz * _light_cone_denominator(theta, beam, radiation.k))
 
 
 def coherent_intensity_from_shift(measured_shift, theta, beam: ElectronBeam,

@@ -106,8 +106,14 @@ def evolve_seeded(config: TubeConfig, samples=200):
         return TubeProfile(l_m=ls, n=flat.copy(), n_prime=flat.copy(),
                            photon=np.full_like(ls, seed), asymptote=seed)
     lo, hi, d = _quadratic_roots(n0, seed)
-    # u = (n - lo)/(n - hi) decays exponentially with rate a d / lambda_c
-    u0 = (n0 - lo) / (n0 - hi)
+    # u = (n - lo)/(n - hi) decays exponentially with rate a d / lambda_c.
+    # Above ~1e16 per Compton volume n0 and hi agree to float resolution;
+    # then n0 - hi = (q - d)/4 with q = n0 - 2 seed - 1 > 0 comes from
+    # (q - d)(q + d) = -8 n0 (seed + 1) instead
+    below = n0 - hi
+    if below == 0.0:
+        below = -2.0 * n0 * (seed + 1.0) / (n0 - 2.0 * seed - 1.0 + d)
+    u0 = (n0 - lo) / below
     rate = config.gain * d / physcore.COMPTON_WAVELENGTH_M
     with np.errstate(over="ignore", under="ignore"):
         u = u0 * np.exp(-rate * ls)

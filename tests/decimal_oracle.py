@@ -1,0 +1,73 @@
+"""50-digit reference for the emission kinematics, written apart from
+``qfel.kinematics`` with the standard-library ``decimal`` module.
+
+The final state is fixed by the selection rules with a self-consistent
+wiggling radius R' = eA / (k (E' - p'_z)):
+
+    E' - p'_z = (E - p_z) - k'(1 - cos theta)
+    E' + p'_z = (E + p_z) + 2 N k - eA k (R' - R) - k'(1 + cos theta)
+    p'_perp   = k' sin theta
+
+and k' is the root of the final mass shell
+(E' - p'_z)(E' + p'_z) - p'_perp^2 - 1.  That residual is linear in k'
+(the R' terms cancel against the d' factor), so the secant through two
+evaluations lands on the root.  The beam's light-cone components come
+from its energy alone; cos and sin are summed from their Taylor series
+at the exact binary value of the float angle.
+"""
+
+from decimal import Decimal, localcontext
+
+DIGITS = 50
+
+
+def _cos_sin(theta):
+    x = Decimal(theta)
+    cos = sin = Decimal(0)
+    term = Decimal(1)           # x^n / n!
+    n = 0
+    while abs(term) > Decimal(10) ** -(DIGITS + 5):
+        if n % 4 == 0:
+            cos += term
+        elif n % 4 == 1:
+            sin += term
+        elif n % 4 == 2:
+            cos -= term
+        else:
+            sin -= term
+        n += 1
+        term = term * x / n
+    return cos, sin
+
+
+def final_state(theta, harmonic, energy, head_on, k, ea):
+    """(k', E' - p'_z, E' + p'_z) as floats, for a collinear beam of energy
+    ``energy`` (units of m_e) moving against (``head_on``) or along the
+    laser of photon energy ``k`` and amplitude ``ea``."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        e = Decimal(energy)
+        p = ((e - 1) * (e + 1)).sqrt()
+        if head_on:
+            d = e + p
+            s = 1 / d
+        else:
+            s = e + p
+            d = 1 / s
+        k, ea = Decimal(k), Decimal(ea)
+        nk = harmonic * k
+        c, sn = _cos_sin(theta)
+        radius = ea / (k * d)
+
+        def state(kp):
+            d1 = d - kp * (1 - c)
+            radius1 = ea / (k * d1)
+            s1 = s + 2 * nk - ea * k * (radius1 - radius) - kp * (1 + c)
+            return d1, s1, d1 * s1 - 1 - (kp * sn) ** 2
+
+        # d' >= d/2 > 0 along the secant
+        k1 = d / 4
+        f0, f1 = state(Decimal(0))[2], state(k1)[2]
+        kp = k1 * f0 / (f0 - f1)
+        d1, s1, _ = state(kp)
+        return float(kp), float(d1), float(s1)

@@ -1,0 +1,207 @@
+"""Re-evaluate the golden CSV files at 50 digits and report, per column,
+the cell that lies farthest from that re-evaluation.
+
+    python tests/golden/fifty_digits.py tests/golden/fig1.csv tests/golden/fig2.csv
+
+The inputs are the floats qfel builds from the configuration echoed in
+each file's header (laser k and eA, beam energy, the theta and energy
+grids).  From there everything runs in 50-digit ``mpmath``: the photon
+energy is the root of the selection-rule mass shell with the
+self-consistent R' (two-point secant; the residual is linear in k'),
+the final light-cone components follow from the selection rules, and
+the cross section and polarization repeat the formulas of
+``qfel.amplitudes.fg_coefficients`` and ``qfel.emission`` with
+mpmath Bessel functions.  Needs ``mpmath`` (test-only).
+"""
+
+import math
+import os
+import sys
+
+import mpmath as mp
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+
+from qfel import LaserField, make_beam  # noqa: E402
+
+mp.mp.dps = 50
+ALPHA = mp.mpf("7.2973525693e-3")
+MEV = mp.mpf("0.51099895000")
+
+
+class Beam:
+    def __init__(self, energy_mev, direction, spin):
+        e = mp.mpf(make_beam(energy_mev, direction=direction).energy)
+        p = mp.sqrt((e - 1) * (e + 1))
+        self.e, self.spin = e, spin
+        self.pz = -p if direction == "head_on" else p
+        self.d, self.s = e - self.pz, e + self.pz
+
+
+def final_state(theta, n, beam, k, ea):
+    """(k', d', s', p'_perp) of harmonic n at angle theta."""
+    c, sn = mp.cos(theta), mp.sin(theta)
+    radius = ea / (k * beam.d)
+
+    def state(kp):
+        d1 = beam.d - kp * (1 - c)
+        s1 = beam.s + 2 * n * k - ea * k * (ea / (k * d1) - radius) - kp * (1 + c)
+        return d1, s1, d1 * s1 - 1 - (kp * sn) ** 2
+
+    k1 = beam.d / 4
+    f0, f1 = state(mp.mpf(0))[2], state(k1)[2]
+    kp = k1 * f0 / (f0 - f1)
+    d1, s1, _ = state(kp)
+    return kp, d1, s1, kp * sn
+
+
+def vectors(theta, n, beam, k, ea, sigma):
+    """Spin-keep and spin-flip vectors of ``harmonic_vectors`` at phi_k = 0."""
+    kp, d1, s1, pp = final_state(theta, n, beam, k, ea)
+    ct, st = mp.cos(theta), mp.sin(theta)
+    e1, pz1 = (s1 + d1) / 2, (s1 - d1) / 2
+    em, emp = beam.e + 1, e1 + 1
+    dm, dmp = -(beam.d + 1), -(d1 + 1)
+    r, rp = ea / (k * beam.d), ea / (k * d1)
+    pz = beam.pz
+    x_cross = pz * emp - pz1 * em
+    y_sum = emp * pz + em * pz1
+    j = 1j
+    f = {(1, 0): -ct * pp * em - st * (y_sum + k * k * r * rp * dm * dmp / 2),
+         (1, sigma): k / 2 * (ct * r * dm * dmp + st * pp * ((r + rp) * em - (r - rp) * pz)),
+         (1, -sigma): k / 2 * ct * rp * dm * dmp,
+         (2, 0): -j * sigma * pp * em,
+         (2, sigma): -j * sigma * k / 2 * r * dm * dmp,
+         (2, -sigma): j * sigma * k / 2 * rp * dm * dmp}
+    g = {(1, 0): sigma * (ct * x_cross + st * pp * (k * k * r * rp * dm / 2 + em)),
+         (1, sigma): -sigma * k / 2 * (ct * r * pp * dm
+                                       + st * (r * dm * (s1 + 1) - rp * (beam.s + 1) * dmp)),
+         (1, -sigma): -sigma * k / 2 * ct * rp * pp * dm,
+         (2, 0): j * x_cross,
+         (2, sigma): j * k / 2 * r * pp * dm,
+         (2, -sigma): -j * k / 2 * rp * pp * dm}
+    bessel = {nu: mp.besselj(n - nu, pp * rp) for nu in (0, 1, -1)}
+    basis = ((ct, 0, -st), (0, 1, 0))
+    out = []
+    for table in (f, g):
+        comps = [sum(table[(i, nu)] * bessel[nu] for nu in (0, 1, -1)) for i in (1, 2)]
+        out.append([comps[0] * basis[0][a] + comps[1] * basis[1][a] for a in range(3)])
+    return kp, d1, s1, out[0], out[1]
+
+
+def norm2(v):
+    return sum(abs(x) ** 2 for x in v)
+
+
+def angular_row(theta, beam, k, ea, harmonic_max):
+    """(k' [MeV], 1e6 x averaged cross section, polarization x, y)."""
+    total = mp.mpf(0)
+    for n in range(1, harmonic_max + 1):
+        term = mp.mpf(0)
+        for sigma in (1, -1):
+            kp, d1, s1, fv, gv = vectors(theta, n, beam, k, ea, sigma)
+            e1 = (s1 + d1) / 2
+            pref = (ALPHA * kp ** 2 / (8 * mp.pi * n * k * abs(beam.pz) * beam.d
+                                        * (beam.e + 1) * (e1 + 1)))
+            term += pref * (norm2(fv) + norm2(gv))
+            if n == 1 and sigma == beam.spin:
+                first_kp, keep = kp, fv
+        total += term / 2
+        if term <= mp.mpf("1e-14") * total:
+            break
+    unit = [x / mp.sqrt(norm2(keep)) for x in keep]
+    # qfel's argmax takes the first of equally large components; on and
+    # next to the axis |x| and |y| agree beyond float resolution, so
+    # components within 1e-12 of the largest count as equal
+    top = max(abs(x) for x in unit)
+    big = next(a for a in range(3) if abs(unit[a]) >= top * (1 - mp.mpf("1e-12")))
+    phase = unit[big] / abs(unit[big])
+    pol = [x * mp.conj(phase) for x in unit]
+    return first_kp * MEV, 1e6 * total, pol[0], pol[1]
+
+
+def read(path):
+    config, rows, command = {}, [], None
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("# qfel "):
+                command = line.split()[3]
+            elif line.startswith("# ") and " = " in line:
+                key, _, value = line[2:].rstrip("\n").partition(" = ")
+                config[key] = value
+            elif not line.startswith("#"):
+                rows.append(line.rstrip("\n").split(","))
+    return command, config, rows
+
+
+def references(command, config):
+    """50-digit value of every cell, row by row."""
+    laser = LaserField(float(config["laser.wavelength_nm"]),
+                       float(config["laser.intensity_w_m2"]))
+    k, ea = mp.mpf(laser.k), mp.mpf(laser.ea)
+    direction, spin = config["beam.direction"], int(config["beam.spin"])
+    if command == "kinematics":
+        energies = np.linspace(float(config["sweep.energy_min_mev"]),
+                               float(config["sweep.energy_max_mev"]),
+                               int(config["sweep.energy_points"]))
+        for e_mev in energies:
+            beam = Beam(float(e_mev), direction, spin)
+            yield [mp.mpf(float(e_mev)),
+                   final_state(mp.mpf(math.pi), 1, beam, k, ea)[0] * MEV]
+        return
+    beam = Beam(float(config["beam.energy_mev"]), direction, spin)
+    harmonic_max = int(config["sweep.harmonic_max"])
+    for theta in np.linspace(0.0, math.pi, int(config["sweep.theta_points"])):
+        kp, xsec, px, py = angular_row(mp.mpf(float(theta)), beam, k, ea, harmonic_max)
+        yield [mp.mpf(float(theta)) / mp.pi, kp, xsec,
+               mp.re(px), mp.im(px), mp.re(py), mp.im(py)]
+
+
+def _rel(cell, ref):
+    got = mp.mpf(cell)
+    return abs(got - ref) / abs(ref) if ref != 0 else abs(got)
+
+
+def main(paths):
+    """Worst cell per column of each file.  Given an older and a newer
+    file of one configuration, also count the cells that differ between
+    them and how many of those moved farther from the 50-digit value."""
+    tables, cache = [], {}
+    for path in paths:
+        command, config, rows = read(path)
+        key = (command, tuple(sorted(config.items())))
+        if key not in cache:
+            cache[key] = list(references(command, config))
+        refs = cache[key]
+        tables.append((command, config, rows, refs))
+        worst = {}
+        for j, (row, want) in enumerate(zip(rows, refs)):
+            for col, (cell, ref) in enumerate(zip(row, want)):
+                err = _rel(cell, ref)
+                if col not in worst or err > worst[col][0]:
+                    worst[col] = (err, j, cell, ref)
+        print(path)
+        for col, (err, j, cell, ref) in sorted(worst.items()):
+            print(f"  column {col}: worst rel {float(err):.3g} at data row {j}: "
+                  f"file {cell}, 50 digits {mp.nstr(ref, 14)}")
+    if len(tables) == 2 and tables[0][:2] == tables[1][:2]:
+        (_, _, old, refs), (_, _, new, _) = tables
+        moved, worst, farther = {}, {}, []
+        for j, (a, b, want) in enumerate(zip(old, new, refs)):
+            for col, (x, y, ref) in enumerate(zip(a, b, want)):
+                if x != y:
+                    moved[col] = moved.get(col, 0) + 1
+                    if col not in worst or _rel(x, ref) > worst[col][0]:
+                        worst[col] = (_rel(x, ref), j, x, y, ref)
+                    if _rel(y, ref) > _rel(x, ref):
+                        farther.append((j, col, x, y, mp.nstr(ref, 14)))
+        print(f"cells that differ, by column: {moved}; moved farther: {farther}")
+        for col, (err, j, x, y, ref) in sorted(worst.items()):
+            print(f"  column {col}, worst moved cell at data row {j}: old {x} "
+                  f"(rel {float(err):.3g}), new {y} (rel {float(_rel(y, ref)):.3g}), "
+                  f"50 digits {mp.nstr(ref, 14)}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

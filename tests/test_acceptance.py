@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+import decimal_oracle
 from qfel import physcore
 from qfel.beamfield import (CO_PROPAGATING, LaserField, coherence_amplitude,
                             critical_density, make_beam)
@@ -76,12 +77,13 @@ def test_criterion_03_energy_sweep():
     increasing = all(b > a for a, b in zip(kps, kps[1:]))
     mev_range = kps[-1] > 1.0
     beam = make_beam(307.0)
-    closed = emitted_photon_energy(math.pi, 1, beam, LASER)
     solved = solve_final_state(math.pi, 1, beam, LASER).k_prime
-    oracle_ok = abs(closed / solved - 1.0) < 1e-6
+    root = decimal_oracle.final_state(math.pi, 1, beam.energy, True,
+                                      LASER.k, LASER.ea)[0]
+    oracle_ok = abs(solved / root - 1.0) < 4e-15
     ok = increasing and mev_range and oracle_ok
     report(3, "forward energy sweep", ok,
-           f"monotone={increasing}, closed-vs-root={abs(closed/solved-1):.2e}")
+           f"monotone={increasing}, k'-vs-50-digit-root={abs(solved/root-1):.2e}")
 
 
 def test_criterion_04_compton_limit():

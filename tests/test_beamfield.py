@@ -58,6 +58,13 @@ class TestLaserField:
         want = n_si * physcore.COMPTON_WAVELENGTH_M**3
         assert laser.photon_density_compton() == pytest.approx(want, rel=1e-10)
 
+    def test_out_of_float_range_rejected(self):
+        # k overflows, k underflows to 0, eA^2 overflows
+        for wavelength_nm, intensity in ((1e-310, 1e19), (1e300, 0.0),
+                                         (1e160, 1e19)):
+            with pytest.raises(DomainError):
+                LaserField(wavelength_nm, intensity)
+
 
 class TestMakeBeam:
     def test_on_shell(self):
@@ -96,6 +103,8 @@ class TestMakeBeam:
             make_beam(307.0, density_m3=-1.0)
         with pytest.raises(DomainError):
             make_beam(0.1)
+        with pytest.raises(DomainError):
+            make_beam(1e160)      # p = sqrt(E^2 - 1) overflows
 
     def test_density_warning(self):
         laser = LaserField(785.0, 1e19)

@@ -1,12 +1,16 @@
 """Tests of the command-line surface: config handling, CSV output,
 golden-file regression, and determinism."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qfel.emission
 from qfel.beamfield import LaserField, make_beam
@@ -22,6 +26,15 @@ def run_cli(args, tmp_path, name="out.csv"):
     code = main(list(args) + ["--out", str(out)])
     text = out.read_text() if out.exists() else ""
     return code, text
+
+
+def run_quiet(args):
+    """Exit code of an in-process run, with its output and warnings dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return main(list(args))
 
 
 def data_rows(text):
@@ -98,6 +111,64 @@ class TestExitCodes:
     def test_numeric_error_is_3(self, capsys):
         # a zero-amplitude laser has no critical density or gain
         assert main(["limits", "--set", "laser.intensity_w_m2=0"]) == 3
+
+
+def _override_values(key):
+    """Raw --set strings for one key: in and out of its range, malformed."""
+    typ = _SCHEMA[key][0]
+    if typ is float:
+        return st.one_of(
+            st.floats(-320.0, 308.0).map(lambda x: repr(10.0 ** x)),
+            st.floats(-2.0, 4.0).map(lambda x: repr(10.0 ** x)),
+            st.floats(-10.0, 10.0).map(lambda x: repr(-10.0 ** x)),
+            st.sampled_from(("0", "-0", "1", "5e-324", "1.7976931348623157e308",
+                             "1e400", "nan", "banana")))
+    if typ is int:
+        # sweep sizes stay small so each run is quick
+        return st.integers(-2, 9).map(str)
+    return st.sampled_from(("head_on", "co_propagating", "csv", "sideways"))
+
+
+_OVERRIDE = st.sampled_from(sorted(k for k in _SCHEMA if k != "output.path")
+                            ).flatmap(lambda key: _override_values(key).map(
+                                lambda raw: f"{key}={raw}"))
+
+
+def _sets(overrides):
+    return [arg for item in overrides for arg in ("--set", item)]
+
+
+class TestExitCodeProperties:
+    @settings(max_examples=150)
+    @given(command=st.sampled_from(sorted(("kinematics", "angular", "tube",
+                                           "coherence", "limits"))),
+           overrides=st.lists(_OVERRIDE, max_size=6))
+    def test_any_override_exits_cleanly(self, command, overrides):
+        # 0 success, 2 configuration error, 3 numeric/domain error; never
+        # an exception.  Sweeps start small; the draws may resize them.
+        small = ["sweep.theta_points=9", "sweep.energy_points=9"]
+        assert run_quiet([command] + _sets(small + overrides)) in (0, 2, 3)
+
+    @settings(max_examples=40)
+    @given(log_mev=st.lists(st.floats(math.log10(0.511), 11.0),
+                            min_size=2, max_size=2).map(sorted),
+           direction=st.sampled_from(("head_on", "co_propagating")),
+           log_intensity=st.floats(10.0, 28.0),
+           spin=st.sampled_from((1, -1)),
+           points=st.integers(1, 9))
+    def test_physical_domain_exits_zero(self, log_mev, direction,
+                                        log_intensity, spin, points):
+        lo, hi = (repr(10.0 ** x) for x in log_mev)
+        scenario = _sets([f"beam.energy_mev={hi}",
+                          f"beam.direction={direction}",
+                          f"beam.spin={spin}",
+                          f"laser.intensity_w_m2={10.0 ** log_intensity!r}"])
+        assert run_quiet(["kinematics"] + scenario + _sets(
+            [f"sweep.energy_min_mev={lo}", f"sweep.energy_max_mev={hi}",
+             f"sweep.energy_points={points}"])) == 0
+        assert run_quiet(["angular"] + scenario + _sets(
+            [f"sweep.theta_points={points}"])) == 0
+        assert run_quiet(["limits"] + scenario) == 0
 
 
 class TestKinematicsCommand:

@@ -10,7 +10,7 @@ from qfel.amplitudes import outgoing_polarization
 from qfel.emission import (angular_spectrum, averaged_cross_section,
                            diff_cross_section, klein_nishina_reference,
                            klein_nishina_rest, transition_rate_density)
-from qfel.errors import DomainError
+from qfel.errors import DomainError, NumericError
 from qfel.kinematics import solve_final_state
 
 LASER = LaserField(785.0, 1e19)
@@ -102,6 +102,20 @@ class TestAveraged:
     def test_theta_out_of_range(self):
         with pytest.raises(DomainError):
             averaged_cross_section(3.5, BEAM, LASER)
+
+    def test_harmonic_cap_below_one_rejected(self):
+        with pytest.raises(DomainError):
+            averaged_cross_section(math.pi, BEAM, LASER, harmonic_max=0)
+
+    def test_beam_at_rest_rejected(self):
+        # the flux factor |p_z| vanishes
+        with pytest.raises(DomainError, match="at rest"):
+            averaged_cross_section(math.pi, make_beam(0.51099895), LASER)
+
+    def test_overflow_is_numeric_error(self):
+        # a 1e-230 nm wave: k'^2 overflows on the axis
+        with pytest.raises(NumericError):
+            averaged_cross_section(0.0, BEAM, LaserField(1e-230, 1e19))
 
 
 class TestAngularSpectrum:

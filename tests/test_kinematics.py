@@ -4,47 +4,42 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import decimal_oracle
 from qfel import physcore
-from qfel.beamfield import CO_PROPAGATING, LaserField, make_beam
+from qfel.beamfield import CO_PROPAGATING, HEAD_ON, LaserField, make_beam
 from qfel.errors import ClosedChannelError, DomainError
 from qfel.kinematics import (coherence_probe, coherent_intensity_from_shift,
                              compton_energy, emitted_photon_energy,
-                             quasi_energy, solve_final_state,
-                             wavelength_shift, wiggling_radius)
+                             solve_final_state, wavelength_shift,
+                             wiggling_radius)
 
 LASER = LaserField(785.0, 1e19)
+ORACLE_RTOL = 4e-15
+
+
+def oracle_mismatch(theta, harmonic, beam, laser):
+    """Largest relative deviation of k', E' - p'_z and E' + p'_z from the
+    50-digit selection-rule root."""
+    kin = solve_final_state(theta, harmonic, beam, laser)
+    got = (kin.k_prime, kin.e_minus_pz_prime, kin.e_plus_pz_prime)
+    want = decimal_oracle.final_state(theta, harmonic, beam.energy,
+                                      beam.direction == HEAD_ON,
+                                      laser.k, laser.ea)
+    assert all(math.isfinite(g) for g in got)
+    return max(abs(g / w - 1.0) for g, w in zip(got, want))
 
 
 class TestWigglingRadius:
     def test_canonical_value(self):
         beam = make_beam(307.0)
-        r = wiggling_radius(beam.energy, beam.pz, LASER)
+        r = wiggling_radius(beam, LASER)
         assert r == pytest.approx(4.04, rel=1e-2)
 
     def test_zero_amplitude(self):
         beam = make_beam(307.0)
-        assert wiggling_radius(beam.energy, beam.pz,
-                               LaserField(785.0, 0.0)) == 0.0
-
-
-class TestQuasiEnergy:
-    def test_reduces_to_energy(self):
-        # zero amplitude, n = 0, and averaged-out spin shift
-        off = LaserField(785.0, 0.0)
-        pz, pp = -3.0, 0.4
-        e = math.sqrt(pz * pz + pp * pp + 1.0)
-        up = quasi_energy(0, 1, pz, pp, off)
-        down = quasi_energy(0, -1, pz, pp, off)
-        assert 0.5 * (up + down) == pytest.approx(e, rel=1e-14)
-        # the spin splitting is tiny against E, so the difference keeps
-        # only the digits that survive the subtraction
-        assert up - down == pytest.approx(off.k, abs=1e-15)
-
-    def test_harmonic_ladder(self):
-        step = quasi_energy(0, 1, -3.0, 0.4, LASER) - quasi_energy(
-            1, 1, -3.0, 0.4, LASER)
-        assert step == pytest.approx(LASER.k, rel=1e-12)
+        assert wiggling_radius(beam, LaserField(785.0, 0.0)) == 0.0
 
 
 class TestComptonLimit:
@@ -61,10 +56,17 @@ class TestComptonLimit:
 
     def test_forward_zero_angle_is_laser_line(self):
         # at theta = 0 the emitted photon energy collapses to N k exactly
-        beam = make_beam(307.0)
-        for n in (1, 2, 5):
-            assert emitted_photon_energy(0.0, n, beam, LASER) == pytest.approx(
-                n * LASER.k, rel=1e-12)
+        # and the electron keeps E - p_z, also for co-propagating beams
+        # whose E - p_z is down to 1e-23 of E
+        beams = [make_beam(307.0)] + [make_beam(mev, direction=CO_PROPAGATING)
+                                      for mev in (1e4, 1e6, 1e11)]
+        for beam in beams:
+            for n in (1, 2, 5):
+                kin = solve_final_state(0.0, n, beam, LASER)
+                assert emitted_photon_energy(0.0, n, beam, LASER) \
+                    == kin.k_prime == pytest.approx(n * LASER.k, rel=1e-15)
+                assert kin.e_minus_pz_prime == pytest.approx(
+                    beam.e_minus_pz, rel=1e-15)
 
 
 class TestSolver:
@@ -81,12 +83,27 @@ class TestSolver:
             2.26, rel=5e-3)
 
     def test_closed_form_agreement(self):
-        # the closed form drops an O(eA^2) back-reaction term; the solver
-        # records its relative size
+        # the closed form is the root of the selection rules with the R'
+        # back-reaction kept, to the last digits
         beam = make_beam(307.0)
         for frac in (0.5, 0.9, 0.999, 1.0):
-            kin = solve_final_state(frac * math.pi, 1, beam, LASER)
-            assert kin.closed_form_rel_diff < 1e-6
+            assert oracle_mismatch(frac * math.pi, 1, beam, LASER) < ORACLE_RTOL
+
+    @given(log_mev=st.floats(math.log10(0.511), 11.0),
+           direction=st.sampled_from((HEAD_ON, CO_PROPAGATING)),
+           intensity=st.one_of(st.just(0.0),
+                               st.floats(10.0, 28.0).map(lambda x: 10.0 ** x)),
+           theta=st.one_of(st.sampled_from((0.0, math.pi)),
+                           st.floats(0.0, math.pi),
+                           st.floats(-30.0, -1.0).map(lambda x: 10.0 ** x),
+                           st.floats(-30.0, -1.0).map(
+                               lambda x: math.pi - 10.0 ** x)),
+           harmonic=st.integers(1, 8))
+    def test_matches_decimal_oracle(self, log_mev, direction, intensity,
+                                    theta, harmonic):
+        beam = make_beam(10.0 ** log_mev, direction=direction)
+        laser = LaserField(785.0, intensity)
+        assert oracle_mismatch(theta, harmonic, beam, laser) < ORACLE_RTOL
 
     def test_final_state_on_shell(self):
         beam = make_beam(307.0)

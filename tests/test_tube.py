@@ -104,6 +104,16 @@ class TestClosedFormsVsRK4:
             assert prof.n[-1] == pytest.approx(want, rel=1e-12)
             assert np.all(prof.n >= want * (1.0 - 1e-12))
 
+    def test_dense_limit_half_conversion(self):
+        # for n0 >> 1 half the electrons emit; above ~1e16 per Compton
+        # volume n0 and the upper root agree to float resolution
+        for n0 in (1e6, 1e20, 1e120):
+            cfg = TubeConfig(length_m=1.0, gain=1.1e-6, n0=n0)
+            prof = evolve_seeded(cfg)
+            assert prof.n[0] == pytest.approx(n0, rel=1e-12)
+            assert prof.n[-1] == pytest.approx(0.5 * n0, rel=1e-5)
+            assert prof.asymptote == pytest.approx(0.5 * n0, rel=1e-5)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             TubeConfig(length_m=-1.0, gain=1e-6, n0=1.0)
