@@ -15,12 +15,12 @@ from .kinematics import (CoherenceProbe, EmissionKinematics, coherence_probe,
                          coherent_intensity_from_shift, compton_energy,
                          emitted_photon_energy, solve_final_state,
                          wavelength_shift, wiggling_radius)
-from .amplitudes import (FGTable, HarmonicVectors, PolarizationBasis,
+from .amplitudes import (HarmonicVectors, PolarizationBasis,
                          channel_polarization, fg_coefficients,
                          harmonic_vectors, outgoing_polarization,
                          polarization_basis)
 from .tube import (MultiSectionResult, TubeConfig, TubeProfile,
-                   evolve_analytic, evolve_seeded, gain_coefficient,
-                   output_intensity, run_cyclic, run_multi_section)
+                   evolve_seeded, gain_coefficient, output_intensity,
+                   run_cyclic, run_multi_section)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

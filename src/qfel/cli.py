@@ -23,7 +23,7 @@ from . import __version__, physcore
 from .beamfield import (CO_PROPAGATING, HEAD_ON, ElectronBeam, LaserField,
                         critical_density, make_beam)
 from .emission import angular_spectrum
-from .errors import ConfigError, QfelError
+from .errors import ConfigError, DomainError, QfelError
 from .kinematics import (coherence_probe, coherent_intensity_from_shift,
                          emitted_photon_energy, wiggling_radius)
 from .tube import (density_si_to_compton, gain_coefficient, run_cyclic,
@@ -58,7 +58,6 @@ _SCHEMA = {
     "coherence.radiation_intensity_w_m2": (float, 1e26, lambda v: v >= 0.0),
     "coherence.measured_shift": (float, 0.0, lambda v: v >= 0.0),
     "output.path": (str, "", None),
-    "output.format": (str, "csv", lambda v: v == "csv"),
 }
 
 
@@ -122,6 +121,24 @@ def _fmt(x):
     return f"{float(x):.11e}"
 
 
+def _rows(columns, prefix=""):
+    """CSV rows of equal-length numeric columns, each cell as ``_fmt``
+    writes it: one '%' format per row over the columns' ``tolist``."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if not all(np.isfinite(c).all() for c in columns):
+        raise DomainError("a CSV cell is outside the floating-point range")
+    fmt = prefix + ",".join(["%.11e"] * len(columns))
+    return [fmt % row for row in zip(*(c.tolist() for c in columns))]
+
+
+def _headlines(*items):
+    """'# headline: label = value' lines for (label, value) pairs."""
+    for label, value in items:
+        if not math.isfinite(value):
+            raise DomainError(f"{label} is outside the floating-point range")
+    return [f"# headline: {label} = {_fmt(value)}" for label, value in items]
+
+
 def _echo_lines(config):
     lines = []
     for key in sorted(config):
@@ -158,12 +175,12 @@ def cmd_kinematics(config):
     energies = np.linspace(config["sweep.energy_min_mev"],
                            config["sweep.energy_max_mev"],
                            config["sweep.energy_points"])
+    kp_mev = [physcore.from_natural_energy(emitted_photon_energy(
+        math.pi, 1, _beam(config, energy_mev=e_mev), laser))
+        for e_mev in energies.tolist()]
     lines = _header("kinematics", config)
     lines.append("# columns: energy_mev,k_prime_mev")
-    for e_mev in energies:
-        beam = _beam(config, energy_mev=float(e_mev))
-        kp = emitted_photon_energy(math.pi, 1, beam, laser)
-        lines.append(f"{_fmt(e_mev)},{_fmt(physcore.from_natural_energy(kp))}")
+    lines.extend(_rows((energies, kp_mev)))
     return "\n".join(lines) + "\n"
 
 
@@ -181,7 +198,7 @@ def cmd_angular(config):
     lines = _header("angular", config)
     lines.append("# columns: theta_over_pi,k_prime_mev,y_avg_xsec_times_1e6,"
                  "pol_x_re,pol_x_im,pol_y_re,pol_y_im")
-    lines.extend(",".join(_fmt(c) for c in row) for row in zip(*columns))
+    lines.extend(_rows(columns))
     return "\n".join(lines) + "\n"
 
 
@@ -200,32 +217,26 @@ def cmd_tube(config):
     else:
         result = run_multi_section(beam, laser, length, sections,
                                    seed_m3=seed_m3)
-    lines = _header("tube", config)
-    lines.append(f"# headline: forward photon energy [MeV] = "
-                 f"{_fmt(result.photon_energy_mev)}")
-    lines.append(f"# headline: gain coefficient a = {_fmt(result.gain)}")
-    lines.append(f"# headline: gain length lambda_c/a [m] = "
-                 f"{_fmt(result.gain_length_m)}")
-    lines.append(f"# headline: asymptotic photon density [per Compton volume]"
-                 f" = {_fmt(result.profiles[0].asymptote)}")
-    lines.append(f"# headline: photon density, exact chain [1/m^3] = "
-                 f"{_fmt(result.photon_density_m3)}")
-    lines.append(f"# headline: photon density, one-half rule [1/m^3] = "
-                 f"{_fmt(result.headline_photon_density_m3)}")
-    lines.append(f"# headline: output intensity, exact chain [W/m^2] = "
-                 f"{_fmt(result.intensity_w_m2)}")
-    lines.append(f"# headline: output intensity, one-half rule [W/m^2] = "
-                 f"{_fmt(result.headline_intensity_w_m2)}")
+    lines = _header("tube", config) + _headlines(
+        ("forward photon energy [MeV]", result.photon_energy_mev),
+        ("gain coefficient a", result.gain),
+        ("gain length lambda_c/a [m]", result.gain_length_m),
+        ("asymptotic photon density [per Compton volume]",
+         result.profiles[0].asymptote),
+        ("photon density, exact chain [1/m^3]", result.photon_density_m3),
+        ("photon density, one-half rule [1/m^3]",
+         result.headline_photon_density_m3),
+        ("output intensity, exact chain [W/m^2]", result.intensity_w_m2),
+        ("output intensity, one-half rule [W/m^2]",
+         result.headline_intensity_w_m2))
     for note in result.warnings:
         lines.append(f"# warning: {note}")
     lines.append("# columns: section,l_m,n_compton,n_prime_compton,"
                  "photon_compton,n_m3,photon_m3")
     vol = density_si_to_compton(1.0)
     for s, prof in enumerate(result.profiles, start=1):
-        for j in range(prof.l_m.size):
-            cells = (prof.l_m[j], prof.n[j], prof.n_prime[j], prof.photon[j],
-                     prof.n[j] / vol, prof.photon[j] / vol)
-            lines.append(str(s) + "," + ",".join(_fmt(c) for c in cells))
+        lines.extend(_rows((prof.l_m, prof.n, prof.n_prime, prof.photon,
+                            prof.n / vol, prof.photon / vol), prefix=f"{s},"))
     return "\n".join(lines) + "\n"
 
 
@@ -238,22 +249,18 @@ def cmd_coherence(config):
         wavelength_nm=config["coherence.radiation_wavelength_nm"],
         intensity_w_m2=config["coherence.radiation_intensity_w_m2"])
     probe = coherence_probe(theta, beam, radiation)
-    lines = _header("coherence", config)
-    lines.append(f"# headline: emission wavelength, zero amplitude [nm] = "
-                 f"{_fmt(probe.lambda0_nm)}")
-    lines.append(f"# headline: emission wavelength, shifted [nm] = "
-                 f"{_fmt(probe.lambda_nm)}")
-    lines.append(f"# headline: fractional wavelength shift = "
-                 f"{_fmt(probe.shift)}")
+    lines = _header("coherence", config) + _headlines(
+        ("emission wavelength, zero amplitude [nm]", probe.lambda0_nm),
+        ("emission wavelength, shifted [nm]", probe.lambda_nm),
+        ("fractional wavelength shift", probe.shift))
     measured = config["coherence.measured_shift"]
     if measured > 0.0:
         inferred = coherent_intensity_from_shift(
             measured, theta, beam, config["coherence.radiation_wavelength_nm"])
-        lines.append(f"# headline: inferred coherent intensity [W/m^2] = "
-                     f"{_fmt(inferred)}")
+        lines += _headlines(("inferred coherent intensity [W/m^2]", inferred))
         if radiation.intensity_w_m2 > 0.0:
-            lines.append(f"# headline: inferred coherent fraction = "
-                         f"{_fmt(inferred / radiation.intensity_w_m2)}")
+            lines += _headlines(("inferred coherent fraction",
+                                 inferred / radiation.intensity_w_m2))
     return "\n".join(lines) + "\n"
 
 
@@ -262,15 +269,13 @@ def cmd_limits(config):
     laser = _laser(config)
     beam = _beam(config, laser=laser)
     a, gain_length = gain_coefficient(beam, laser)
-    lines = _header("limits", config)
-    lines.append(f"# headline: coherence amplitude eA = {_fmt(laser.ea)}")
-    lines.append(f"# headline: laser photon energy [m_e] = {_fmt(laser.k)}")
-    lines.append(f"# headline: critical density [1/m^3] = "
-                 f"{_fmt(critical_density(laser))}")
-    lines.append(f"# headline: gain coefficient a = {_fmt(a)}")
-    lines.append(f"# headline: gain length lambda_c/a [m] = {_fmt(gain_length)}")
-    lines.append(f"# headline: wiggling radius R = "
-                 f"{_fmt(wiggling_radius(beam, laser))}")
+    lines = _header("limits", config) + _headlines(
+        ("coherence amplitude eA", laser.ea),
+        ("laser photon energy [m_e]", laser.k),
+        ("critical density [1/m^3]", critical_density(laser)),
+        ("gain coefficient a", a),
+        ("gain length lambda_c/a [m]", gain_length),
+        ("wiggling radius R", wiggling_radius(beam, laser)))
     return "\n".join(lines) + "\n"
 
 
@@ -309,7 +314,10 @@ def main(argv=None):
         config = parse_config(args.config, args.overrides)
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        text = _COMMANDS[args.command](config)
+        # a result beyond the float range ends in the DomainError of the
+        # output check, never in a numpy warning
+        with np.errstate(all="ignore"):
+            text = _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"qfel: config error: {exc}", file=sys.stderr)
         return 2

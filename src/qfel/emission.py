@@ -11,12 +11,13 @@ zero-amplitude limit reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import physcore
-from .amplitudes import channel_polarization, harmonic_vectors
+from .amplitudes import (bessel_factors, channel_polarization,
+                         harmonic_components, harmonic_vectors)
 from .beamfield import ElectronBeam, LaserField
 from .errors import DomainError, NumericError
 from .kinematics import EmissionKinematics, solve_final_state
@@ -27,14 +28,11 @@ _TRUNCATION_RTOL = 1e-14
 
 @dataclass(frozen=True)
 class CrossSectionPoint:
-    theta: float
-    harmonic: int               # highest harmonic included
+    theta: float                # or an array of angles
+    harmonic: int               # highest harmonic included, per angle
     value: float                # [Compton wavelength^2 / sr]
     channel: str
     n_occ: int = 0
-    # harmonic 1 of the sum: kinematics and vectors by sigma
-    first: EmissionKinematics = field(default=None, repr=False, compare=False)
-    first_vectors: dict = field(default=None, repr=False, compare=False)
 
 
 def _channel_prefactor(kin: EmissionKinematics, beam: ElectronBeam,
@@ -48,38 +46,33 @@ def _channel_prefactor(kin: EmissionKinematics, beam: ElectronBeam,
                * beam.e_minus_pz * (beam.energy + 1.0) * (kin.e_prime + 1.0)))
 
 
-def _project(selector, vecs, sigma, sigma_prime):
-    """Squared projection of the open channel vector on the selected polarization."""
-    v = vecs.script_f if sigma_prime == sigma else vecs.script_g
+def _project(selector, components, sigma, sigma_prime):
+    """Squared projection of the open channel vector, a1 e1 + i a2 e2 up to
+    a phase, on a basis polarization (1 or 2) or a coefficient pair."""
+    a1, a2 = components[:2] if sigma_prime == sigma else components[2:]
     if isinstance(selector, int):
         if selector not in (1, 2):
             raise DomainError(f"basis polarization index must be 1 or 2, got {selector}")
-        e = vecs.basis.e1 if selector == 1 else vecs.basis.e2
-        amp = np.vdot(e.astype(complex), v)
-    else:
-        sel = np.asarray(selector, dtype=complex)
-        if sel.shape == (2,):
-            if abs(float(np.sum(np.abs(sel) ** 2)) - 1.0) > 1e-9:
-                raise DomainError("polarization coefficients must satisfy |c1|^2+|c2|^2=1")
-            e = sel[0] * vecs.basis.e1 + sel[1] * vecs.basis.e2
-            amp = np.vdot(e, v)
-        elif sel.shape == (3,):
-            amp = np.vdot(sel, v)
-        else:
-            raise DomainError(f"unsupported polarization selector {selector!r}")
-    return float(abs(amp) ** 2)
+        amp = a1 if selector == 1 else a2
+        return amp * amp
+    sel = np.asarray(selector, dtype=complex)
+    if sel.shape != (2,):
+        raise DomainError(f"unsupported polarization selector {selector!r}")
+    if abs(float(np.sum(np.abs(sel) ** 2)) - 1.0) > 1e-9:
+        raise DomainError("polarization coefficients must satisfy |c1|^2+|c2|^2=1")
+    return np.abs(np.conj(sel[0]) * a1 + 1j * np.conj(sel[1]) * a2) ** 2
 
 
 def diff_cross_section(kin: EmissionKinematics, beam: ElectronBeam,
                        laser: LaserField, sigma, sigma_prime, selector,
                        n_occ=0):
     """Differential cross section of one harmonic channel for a definite
-    polarization (basis index 1/2, coefficient pair, or 3-vector)."""
+    polarization (basis index 1/2 or coefficient pair)."""
     if sigma_prime not in (sigma, -sigma):
         raise DomainError(f"sigma_prime must be +1 or -1, got {sigma_prime!r}")
-    vecs = harmonic_vectors(kin, beam, laser, sigma)
+    parts = harmonic_components(kin, beam, laser, sigma, bessel_factors(kin))
     value = _channel_prefactor(kin, beam, laser, n_occ) * _project(
-        selector, vecs, sigma, sigma_prime)
+        selector, parts, sigma, sigma_prime)
     channel = "polarized" if not isinstance(selector, int) else f"basis-{selector}"
     return CrossSectionPoint(theta=kin.theta, harmonic=kin.harmonic,
                              value=value, channel=channel, n_occ=n_occ)
@@ -91,8 +84,8 @@ def transition_rate_density(kin: EmissionKinematics, beam: ElectronBeam,
     basis polarization in one harmonic channel."""
     if i not in (1, 2):
         raise DomainError(f"basis polarization index must be 1 or 2, got {i}")
-    vecs = harmonic_vectors(kin, beam, laser, sigma)
-    amp2 = _project(i, vecs, sigma, sigma_prime)
+    parts = harmonic_components(kin, beam, laser, sigma, bessel_factors(kin))
+    amp2 = _project(i, parts, sigma, sigma_prime)
     alpha = physcore.FINE_STRUCTURE
     e, ep = beam.energy, kin.e_prime
     pref = (alpha * kin.k_prime / (2.0 * math.pi) ** 3
@@ -102,34 +95,48 @@ def transition_rate_density(kin: EmissionKinematics, beam: ElectronBeam,
 
 
 def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
-                           n_occ=0, harmonic_max=DEFAULT_HARMONIC_MAX,
-                           phi_k=0.0):
-    """Spin-averaged, polarization-summed differential cross section at theta:
-    (1/2) sum over basis polarizations and both spin labels, summed over
-    harmonics 1..harmonic_max with adaptive truncation."""
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+                           n_occ=0, harmonic_max=DEFAULT_HARMONIC_MAX):
+    """Spin-averaged, polarization-summed differential cross section at one
+    angle or a 1-D array of angles: (1/2) sum over basis polarizations and
+    both spin labels, summed over harmonics 1..harmonic_max.  Each harmonic
+    is evaluated once for the angles still summing; an angle stops at the
+    first term at most 1e-14 of its total, which ``harmonic`` reports."""
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    if thetas.ndim != 1:
+        raise DomainError("theta must be a float or a 1-D array")
+    outside = ~((thetas >= 0.0) & (thetas <= math.pi))
+    if outside.any():
+        raise DomainError(
+            f"theta must lie in [0, pi], got {float(thetas[outside][0])}")
     if harmonic_max < 1:
         raise DomainError(f"harmonic_max must be >= 1, got {harmonic_max}")
-    total = 0.0
-    for n in range(1, harmonic_max + 1):
-        kin = solve_final_state(theta, n, beam, laser, phi_k=phi_k)
-        pref = _channel_prefactor(kin, beam, laser, n_occ)
-        term = 0.0
-        vectors = {}
-        for sigma in (1, -1):
-            vecs = vectors[sigma] = harmonic_vectors(kin, beam, laser, sigma)
-            term += pref * (vecs.f_mag * vecs.f_mag + vecs.g_mag * vecs.g_mag)
-        if n == 1:
-            first, first_vectors = kin, vectors
-        total += 0.5 * term
-        if term <= _TRUNCATION_RTOL * total:
-            break
-    if not math.isfinite(total):
-        raise NumericError(f"the cross section at theta={theta} is not finite")
-    return CrossSectionPoint(theta=theta, harmonic=n, value=total,
-                             channel="spin-averaged", n_occ=n_occ,
-                             first=first, first_vectors=first_vectors)
+    total = np.zeros_like(thetas)
+    used = np.zeros(thetas.shape, dtype=int)
+    live = np.arange(thetas.size)       # angles still summing
+    with np.errstate(all="ignore"):
+        for n in range(1, harmonic_max + 1):
+            kin = solve_final_state(thetas[live], n, beam, laser)
+            pref = _channel_prefactor(kin, beam, laser, n_occ)
+            bessel = bessel_factors(kin)
+            term = 0.0
+            for sigma in (1, -1):
+                f1, f2, g1, g2 = harmonic_components(kin, beam, laser, sigma,
+                                                     bessel)
+                term = term + pref * (f1 * f1 + f2 * f2 + g1 * g1 + g2 * g2)
+            summed = total[live] + 0.5 * term
+            total[live] = summed
+            used[live] = n
+            live = live[~(term <= _TRUNCATION_RTOL * summed)]
+            if live.size == 0:
+                break
+    bad = ~np.isfinite(total)
+    if bad.any():
+        raise NumericError(f"the cross section at theta={float(thetas[bad][0])} "
+                           "is not finite")
+    if np.ndim(theta) == 0:
+        thetas, used, total = theta, int(used[0]), float(total[0])
+    return CrossSectionPoint(theta=thetas, harmonic=used, value=total,
+                             channel="spin-averaged", n_occ=n_occ)
 
 
 @dataclass(frozen=True)
@@ -141,38 +148,25 @@ class AngularSpectrum:
     averaged: np.ndarray            # [Compton wavelength^2 / sr]
     polarization_x: np.ndarray      # complex x-component, spin-keep channel
     polarization_y: np.ndarray
-    beam: ElectronBeam = field(repr=False, default=None)
-    laser: LaserField = field(repr=False, default=None)
-    harmonic_max: int = DEFAULT_HARMONIC_MAX
-    n_occ: int = 0
 
 
 def angular_spectrum(beam: ElectronBeam, laser: LaserField, theta_grid,
                      n_occ=0, harmonic_max=DEFAULT_HARMONIC_MAX):
     """Averaged cross section, first-harmonic photon energy, and the
     polarization of the beam-spin keep channel (sigma' = sigma = beam.spin)
-    over an ordered theta grid, from one averaged_cross_section per angle."""
+    over an ordered theta grid: one averaged_cross_section call for the
+    whole grid and one evaluation of harmonic 1."""
     thetas = np.asarray(theta_grid, dtype=float)
     if thetas.ndim != 1 or thetas.size < 1:
         raise DomainError("theta grid must be a non-empty 1-D array")
-    if np.any(thetas < 0.0) or np.any(thetas > math.pi):
-        raise DomainError("theta grid must lie within [0, pi]")
-    kp = np.empty_like(thetas)
-    avg = np.empty_like(thetas)
-    pol_x = np.empty(thetas.size, dtype=complex)
-    pol_y = np.empty(thetas.size, dtype=complex)
+    avg = averaged_cross_section(thetas, beam, laser, n_occ=n_occ,
+                                 harmonic_max=harmonic_max).value
+    first = solve_final_state(thetas, 1, beam, laser)
     sigma = beam.spin
-    for j, theta in enumerate(thetas):
-        point = averaged_cross_section(float(theta), beam, laser, n_occ=n_occ,
-                                       harmonic_max=harmonic_max)
-        kp[j] = point.first.k_prime
-        avg[j] = point.value
-        pol = channel_polarization(point.first_vectors[sigma], sigma, sigma)
-        pol_x[j], pol_y[j] = pol[0], pol[1]
-    return AngularSpectrum(thetas=thetas, k_prime=kp, averaged=avg,
-                           polarization_x=pol_x, polarization_y=pol_y,
-                           beam=beam, laser=laser, harmonic_max=harmonic_max,
-                           n_occ=n_occ)
+    pol = channel_polarization(harmonic_vectors(first, beam, laser, sigma),
+                               sigma, sigma)
+    return AngularSpectrum(thetas=thetas, k_prime=first.k_prime, averaged=avg,
+                           polarization_x=pol[:, 0], polarization_y=pol[:, 1])
 
 
 # ---------------------------------------------------------------------------

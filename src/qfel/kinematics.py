@@ -9,13 +9,17 @@ Everything is written in the light-cone components d = E - p_z and
 s = E + p_z that ``ElectronBeam`` stores, never formed by subtraction.
 The selection rules make the final mass shell linear in the photon
 energy k', so k' is an exact closed form for any beam energy in either
-direction, and no root is solved.
+direction, and no root is solved.  The emission energies and final
+states take a float or a 1-D array of angles; a float gives the same
+bits as that element of an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import physcore
 from .beamfield import ElectronBeam, LaserField
@@ -31,8 +35,8 @@ def _light_cone_denominator(theta, beam: ElectronBeam, q):
     """E + q - (p_z + q) cos theta in light-cone variables,
     (s0 + 2q) sin^2(theta/2) + d0 cos^2(theta/2), a sum of non-negative
     terms that never cancels (d0 = E - p_z, s0 = E + p_z)."""
-    return ((beam.e_plus_pz + 2.0 * q) * math.sin(0.5 * theta) ** 2
-            + beam.e_minus_pz * math.cos(0.5 * theta) ** 2)
+    s, c = np.sin(0.5 * theta), np.cos(0.5 * theta)
+    return (beam.e_plus_pz + 2.0 * q) * (s * s) + beam.e_minus_pz * (c * c)
 
 
 def compton_energy(theta, beam: ElectronBeam, k):
@@ -57,7 +61,8 @@ def emitted_photon_energy(theta, harmonic, beam: ElectronBeam, laser: LaserField
 
 @dataclass(frozen=True)
 class EmissionKinematics:
-    """Full final-state bundle for one (theta, harmonic) emission channel."""
+    """Full final-state bundle of one harmonic channel; the float fields
+    other than the radius R are arrays when theta is."""
 
     theta: float
     harmonic: int
@@ -88,7 +93,7 @@ def solve_final_state(theta, harmonic, beam: ElectronBeam, laser: LaserField,
     shift = laser.ea**2 / (2.0 * beam.e_minus_pz)
     d = (beam.e_minus_pz * _light_cone_denominator(theta, beam, shift)
          / _light_cone_denominator(theta, beam, harmonic * laser.k + shift))
-    pp = kp * math.sin(theta)
+    pp = kp * np.sin(theta)
     s = (1.0 + pp * pp) / d
     return EmissionKinematics(
         theta=theta, harmonic=harmonic, k_prime=kp,

@@ -1,4 +1,5 @@
-"""Physical constants, natural-unit conversions, and generic numerics.
+"""Physical constants, natural-unit conversions, and Bessel functions of
+integer order.
 
 All internal computation in this package uses natural units with
 c = hbar = 1 and the electron mass as the energy unit, so the unit of
@@ -10,7 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, NumericError
+import numpy as np
+
+from .errors import DomainError
 
 # CODATA-2018
 ELECTRON_MASS_MEV = 0.51099895000          # m_e c^2 [MeV]
@@ -60,49 +63,60 @@ def wave_number_natural(lambda_nm):
 # ---------------------------------------------------------------------------
 # Bessel functions of integer order.
 #
-# Arguments arising in this artifact are tiny (p'_perp R' << 1), so an
-# ascending power series is used for small |x|; beyond the cancellation
-# threshold a downward Miller recurrence normalized by
-# J_0 + 2 sum J_2m = 1 takes over.
+# Up to its cancellation threshold the ascending power series (DLMF
+# 10.2.2) is summed over the whole array of arguments, each element
+# stopping where its own sum converges.  The rarer elements beyond it
+# take a downward Miller recurrence normalized by J_0 + 2 sum J_2m = 1
+# (DLMF 3.6), one at a time.
 
 _BESSEL_SERIES_CUT = 9.0
 _BESSEL_MAX_ARG = 1e6
 
 
 def bessel_jn(order, x):
-    """J_n(x) for integer n; relative error < 1e-12 for |x| <= 50."""
+    """J_n(x) for an integer order n and a float or 1-D array of arguments.
+
+    For |x| <= 50 and any order the relative error is below 1e-12 away
+    from the zeros of J_n; values below the smallest float come out as 0.
+    |x| must stay below 1e6.  A float argument gives the same bits as
+    the same element of an array.
+    """
     n = int(order)
     if n != order:
         raise DomainError(f"order must be an integer, got {order!r}")
-    if not math.isfinite(x) or abs(x) >= _BESSEL_MAX_ARG:
-        raise DomainError(f"Bessel argument out of supported range: {x!r}")
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -sign
-    if x < 0.0:
-        x = -x
-        if n % 2:
-            sign = -sign
-    if x <= _BESSEL_SERIES_CUT:
-        return sign * _bessel_series(n, x)
-    return sign * _bessel_miller(n, x)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    bad = ~(np.abs(xs) < _BESSEL_MAX_ARG)
+    if bad.any():
+        raise DomainError(
+            f"Bessel argument out of supported range: {float(xs[bad][0])!r}")
+    odd = n % 2 == 1
+    sign = -1.0 if n < 0 and odd else 1.0
+    n = abs(n)
+    negative = xs < 0.0
+    ax = np.where(negative, -xs, xs)
+    small = ax <= _BESSEL_SERIES_CUT
+    out = np.empty_like(ax)
+    out[small] = _bessel_series(n, ax[small])
+    out[~small] = [_bessel_miller(n, v) for v in ax[~small].tolist()]
+    out = np.where(negative & odd, -sign, sign) * out
+    return out if np.ndim(x) else out[0]
 
 
 def _bessel_series(n, x):
     half = 0.5 * x
-    try:
-        term = half**n / math.factorial(n)
-    except OverflowError:
-        return 0.0
+    lead = min(n, 170)                  # 171! is beyond the float range
+    term = half**lead / float(math.factorial(lead))
+    for j in range(lead + 1, n + 1):
+        term = term * (half / j)
     total = term
+    summing = np.ones(x.shape, dtype=bool)
     m = 0
     while True:
         m += 1
-        term *= -(half * half) / (m * (n + m))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) + 1e-308 or m > 200:
+        term = term * (-(half * half) / (m * (n + m)))
+        total = np.where(summing, total + term, total)
+        summing &= ~(np.abs(term) <= 1e-17 * np.abs(total) + 1e-308)
+        if m > 200 or not summing.any():
             return total
 
 
@@ -128,36 +142,3 @@ def _bessel_miller(n, x):
     if n == 0:
         result = j
     return result / norm
-
-
-# ---------------------------------------------------------------------------
-# Fixed-step ODE integration.
-
-
-def integrate_ode(rhs, y0, span, steps):
-    """Classic fixed-step RK4; returns (l_samples, y_samples) arrays.
-
-    Global error is O(h^4).  NaN from the right-hand side aborts.
-    """
-    import numpy as np
-
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    l0, l1 = span
-    h = (l1 - l0) / steps
-    ls = np.empty(steps + 1)
-    ys = np.empty(steps + 1)
-    ls[0], ys[0] = l0, y0
-    y = float(y0)
-    for i in range(steps):
-        l = l0 + i * h
-        k1 = rhs(l, y)
-        k2 = rhs(l + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(l + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(l + h, y + h * k3)
-        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(y):
-            raise NumericError(f"ODE state became non-finite at l={l + h}")
-        ls[i + 1] = l0 + (i + 1) * h
-        ys[i + 1] = y
-    return ls, ys

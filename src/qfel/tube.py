@@ -19,7 +19,7 @@ are reported; headline intensities use the one-half rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class TubeProfile:
     n_prime: np.ndarray
     photon: np.ndarray
     asymptote: float             # photon density as l -> infinity
-    source: str = "analytic"
 
 
 def gain_coefficient(beam: ElectronBeam, laser: LaserField):
@@ -83,18 +82,21 @@ def gain_coefficient(beam: ElectronBeam, laser: LaserField):
 
 
 def _quadratic_roots(n0, seed):
-    """Roots of the RHS quadratic 2n^2 - b n + c; discriminant is provably
-    positive for physical inputs.  The lower root is taken from the root
-    product c/2, since (b - d)/4 cancels when c << b^2."""
+    """Roots of the RHS quadratic 2n^2 - b n + c and the root distance
+    d = sqrt(b^2 - 8c); the discriminant is provably positive for physical
+    inputs.  It is scaled by b^2, which overflows for dense beams, and
+    the lower root is taken from the root product c/2, since (b - d)/4
+    cancels when c << b^2."""
     b = 2.0 * seed + 3.0 * n0 + 1.0
-    c = n0 * (n0 + seed)
-    disc = b * b - 8.0 * c
-    if disc <= 0.0:
+    ratio = (n0 + seed) / b
+    scaled = 1.0 - 8.0 * (n0 / b) * ratio
+    if scaled <= 0.0:
         raise NumericError(
-            f"non-positive discriminant {disc} for n0={n0}, seed={seed}; "
-            "cannot happen for non-negative densities")
-    d = math.sqrt(disc)
-    return 2.0 * c / (b + d), (b + d) / 4.0, d
+            f"non-positive discriminant {scaled} b^2 for n0={n0}, "
+            f"seed={seed}; cannot happen for non-negative densities")
+    root = math.sqrt(scaled)
+    d = b * root
+    return 2.0 * n0 * ratio / (1.0 + root), (b + d) / 4.0, d
 
 
 def evolve_seeded(config: TubeConfig, samples=200):
@@ -115,42 +117,16 @@ def evolve_seeded(config: TubeConfig, samples=200):
         below = -2.0 * n0 * (seed + 1.0) / (n0 - 2.0 * seed - 1.0 + d)
     u0 = (n0 - lo) / below
     rate = config.gain * d / physcore.COMPTON_WAVELENGTH_M
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         u = u0 * np.exp(-rate * ls)
-    n = (lo - hi * u) / (1.0 - u)
+        n = (lo - hi * u) / (1.0 - u)
+    # hi stays below 1e272, so hi u overflows only for |u| > 1e36, where n
+    # is hi to float resolution
+    n = np.where(np.isfinite(n), n, hi)
     n_prime = n0 - n
     photon = seed + n_prime
     return TubeProfile(l_m=ls, n=n, n_prime=n_prime, photon=photon,
                        asymptote=seed + n0 - lo)
-
-
-def evolve_analytic(config: TubeConfig, samples=200):
-    """Unseeded closed form, written exactly as the quoted solution with the
-    sqrt(n0^2 + 6 n0 + 1) combination; cross-checks the seeded reduction."""
-    if config.seed != 0.0:
-        raise DomainError("the unseeded solution requires a zero photon seed")
-    n0 = config.n0
-    ls = np.linspace(0.0, config.length_m, max(int(samples), 2))
-    if n0 == 0.0:
-        flat = np.zeros_like(ls)
-        return TubeProfile(l_m=ls, n=flat.copy(), n_prime=flat.copy(),
-                           photon=flat.copy(), asymptote=0.0)
-    q = math.sqrt(n0 * n0 + 6.0 * n0 + 1.0)
-    with np.errstate(over="ignore", under="ignore"):
-        ex = np.exp(-q * config.gain * ls / physcore.COMPTON_WAVELENGTH_M)
-    den = (q - n0 + 1.0) + (q + n0 - 1.0) * ex
-    n = n0 * ((q - n0 - 1.0) + (q + n0 + 1.0) * ex) / den
-    photon = 2.0 * n0 * (1.0 - ex) / den
-    return TubeProfile(l_m=ls, n=n, n_prime=n0 - n, photon=photon,
-                       asymptote=2.0 * n0 / (q - n0 + 1.0))
-
-
-def balance_rhs(n, n0, seed, gain):
-    """dn/dl [1/m] of the seeded balance equation; numeric-integration oracle
-    hook for the closed forms."""
-    b = 2.0 * seed + 3.0 * n0 + 1.0
-    c = n0 * (n0 + seed)
-    return gain * (2.0 * n * n - b * n + c) / physcore.COMPTON_WAVELENGTH_M
 
 
 def output_intensity(photon_density_m3, photon_energy_mev):
@@ -186,7 +162,7 @@ _UNIT_TENSION_NOTE = (
 
 
 def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
-                      sections, n0_m3=None, seed_m3=0.0, samples=200):
+                      sections, seed_m3=0.0, samples=200):
     """Chain seeded sections with fresh electrons injected (and spent ones
     removed) at every boundary; photons carry over.
 
@@ -195,7 +171,7 @@ def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
     """
     if sections < 1:
         raise DomainError(f"section count must be >= 1, got {sections}")
-    n0_si = beam.density_m3 if n0_m3 is None else n0_m3
+    n0_si = beam.density_m3
     if n0_si <= 0.0:
         raise DomainError("multi-section run requires a positive beam density")
     a, gain_length = gain_coefficient(beam, laser)
@@ -227,8 +203,8 @@ def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
 
 
 def run_cyclic(beam: ElectronBeam, laser: LaserField, section_length_m,
-               sections_per_cycle, cycles, efficiency, n0_m3=None,
-               seed_m3=0.0, samples=200):
+               sections_per_cycle, cycles, efficiency, seed_m3=0.0,
+               samples=200):
     """Cyclic intensifier: a linear chain per cycle, with the photon density
     scaled by the reflection efficiency between cycles.  seed_m3 is the
     photon density entering the first cycle.
@@ -244,8 +220,8 @@ def run_cyclic(beam: ElectronBeam, laser: LaserField, section_length_m,
     notes = []
     for c in range(cycles):
         result = run_multi_section(beam, laser, section_length_m,
-                                   sections_per_cycle, n0_m3=n0_m3,
-                                   seed_m3=seed_m3, samples=samples)
+                                   sections_per_cycle, seed_m3=seed_m3,
+                                   samples=samples)
         if c < cycles - 1:
             seed_m3 = result.photon_density_m3 * efficiency
     lam_nm = physcore.wavelength_from_photon_energy(
@@ -255,12 +231,4 @@ def run_cyclic(beam: ElectronBeam, laser: LaserField, section_length_m,
             f"emitted wavelength {lam_nm:.4g} nm is outside the "
             "Bragg-reflectable soft-gamma band (0.05-1 nm); the cyclic "
             "geometry is not realizable at this energy")
-    return MultiSectionResult(
-        profiles=result.profiles,
-        photon_density_m3=result.photon_density_m3,
-        headline_photon_density_m3=result.headline_photon_density_m3,
-        intensity_w_m2=result.intensity_w_m2,
-        headline_intensity_w_m2=result.headline_intensity_w_m2,
-        photon_energy_mev=result.photon_energy_mev,
-        gain=result.gain, gain_length_m=result.gain_length_m,
-        warnings=result.warnings + tuple(notes))
+    return replace(result, warnings=result.warnings + tuple(notes))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import decimal_oracle
+from oracles import balance_rhs, evolve_analytic, integrate_ode
 from qfel import physcore
 from qfel.beamfield import (CO_PROPAGATING, LaserField, coherence_amplitude,
                             critical_density, make_beam)
@@ -25,8 +26,8 @@ from qfel.emission import averaged_cross_section, klein_nishina_reference
 from qfel.kinematics import (coherence_probe, coherent_intensity_from_shift,
                              compton_energy, emitted_photon_energy,
                              solve_final_state, wavelength_shift)
-from qfel.tube import (TubeConfig, balance_rhs, evolve_analytic,
-                       evolve_seeded, gain_coefficient, run_multi_section)
+from qfel.tube import (TubeConfig, evolve_seeded, gain_coefficient,
+                       run_multi_section)
 
 LASER = LaserField(785.0, 1e19)
 BEAM = make_beam(307.0, density_m3=1e18)
@@ -101,21 +102,27 @@ def test_criterion_04_compton_limit():
 
 def test_criterion_05_angular_distribution():
     thetas = np.linspace(0.0, math.pi, 2000)
-    values = np.array([averaged_cross_section(float(t), BEAM, LASER).value
-                       for t in thetas])
+    values = averaged_cross_section(thetas, BEAM, LASER).value
     nonneg = bool(np.all(values >= 0.0))
     peak = averaged_cross_section(0.999 * math.pi, BEAM, LASER).value
     mid = averaged_cross_section(0.5 * math.pi, BEAM, LASER).value
     peaked = peak / mid >= 1e3
-    ref = averaged_cross_section(0.97 * math.pi, BEAM, LASER).value
-    azim = max(abs(averaged_cross_section(0.97 * math.pi, BEAM, LASER,
-                                          phi_k=phi).value / ref - 1.0)
-               for phi in (0.8, 2.4, 5.5))
-    trunc = max(abs(averaged_cross_section(float(t), BEAM, LASER,
-                                           harmonic_max=4).value
-                    / averaged_cross_section(float(t), BEAM, LASER,
-                                             harmonic_max=8).value - 1.0)
-                for t in (0.5 * math.pi, 0.95 * math.pi, math.pi))
+    # the azimuth rotates the emission vectors without changing their length
+    theta = 0.97 * math.pi
+    ref = harmonic_vectors(solve_final_state(theta, 1, BEAM, LASER),
+                           BEAM, LASER, 1)
+    azim = 0.0
+    for phi in (0.8, 2.4, 5.5):
+        vecs = harmonic_vectors(solve_final_state(theta, 1, BEAM, LASER,
+                                                  phi_k=phi), BEAM, LASER, 1)
+        azim = max(azim,
+                   abs(np.linalg.norm(vecs.script_f) / ref.f_mag - 1.0),
+                   abs(np.linalg.norm(vecs.script_g) / ref.g_mag - 1.0))
+    cut = np.array([0.5 * math.pi, 0.95 * math.pi, math.pi])
+    trunc = float(np.max(np.abs(
+        averaged_cross_section(cut, BEAM, LASER, harmonic_max=4).value
+        / averaged_cross_section(cut, BEAM, LASER, harmonic_max=8).value
+        - 1.0)))
     ok = nonneg and peaked and azim < 1e-12 and trunc < 1e-10
     report(5, "angular distribution properties", ok,
            f"peak/mid={peak/mid:.2e}, azim={azim:.1e}, trunc={trunc:.1e}")
@@ -256,7 +263,7 @@ def test_criterion_09_tube_closed_forms():
         length = rng.uniform(0.5, 4.0) * physcore.COMPTON_WAVELENGTH_M / gain
         cfg = TubeConfig(length_m=length, gain=gain, n0=n0, seed=seed)
         prof = evolve_seeded(cfg, samples=2)
-        _, ys = physcore.integrate_ode(
+        _, ys = integrate_ode(
             lambda l, n: balance_rhs(n, n0, seed, gain),
             n0, (0.0, length), 4000)
         worst_rk4 = max(worst_rk4, abs(ys[-1] / prof.n[-1] - 1.0))

@@ -40,23 +40,31 @@ class TestCoefficientTable:
             fg_coefficients(kin, BEAM, LASER, 0)
 
     def test_i2_entries_purely_imaginary(self):
+        # the real tables hold the imaginary parts of the e2 coefficients:
+        # at phi_k = 0 both assembled vectors project on e1 with a real
+        # amplitude and on e2 with an imaginary one
         kin = solve_final_state(0.9 * math.pi, 1, BEAM, LASER)
-        table = fg_coefficients(kin, BEAM, LASER, 1)
-        for nu in (0, 1, -1):
-            assert table.f[(2, nu)].real == 0.0
-            assert table.g[(2, nu)].real == 0.0
+        for sigma in (1, -1):
+            vecs = harmonic_vectors(kin, BEAM, LASER, sigma)
+            e1 = vecs.basis.e1.astype(complex)
+            e2 = vecs.basis.e2.astype(complex)
+            for v in (vecs.script_f, vecs.script_g):
+                assert np.vdot(e1, v).imag == 0.0
+                assert np.vdot(e2, v).real == 0.0
+                assert np.vdot(e2, v).imag != 0.0
 
     def test_sigma_reflection_relations(self):
         # flipping sigma negates the sigma-proportional entries and mirrors
-        # the neighbor-harmonic index nu
+        # the neighbor-harmonic index nu, which the (0, sigma, -sigma)
+        # layout absorbs: entries at the same position are compared
         kin = solve_final_state(0.9 * math.pi, 1, BEAM, LASER)
-        up = fg_coefficients(kin, BEAM, LASER, 1)
-        down = fg_coefficients(kin, BEAM, LASER, -1)
-        for nu in (0, 1, -1):
-            assert up.f[(1, nu)] == pytest.approx(down.f[(1, -nu)], rel=1e-12)
-            assert up.f[(2, nu)] == pytest.approx(-down.f[(2, -nu)], rel=1e-12)
-            assert up.g[(1, nu)] == pytest.approx(-down.g[(1, -nu)], rel=1e-12)
-            assert up.g[(2, nu)] == pytest.approx(down.g[(2, -nu)], rel=1e-12)
+        (uf1, uf2), (ug1, ug2) = fg_coefficients(kin, BEAM, LASER, 1)
+        (df1, df2), (dg1, dg2) = fg_coefficients(kin, BEAM, LASER, -1)
+        for j in range(3):
+            assert uf1[j] == pytest.approx(df1[j], rel=1e-12)
+            assert uf2[j] == pytest.approx(-df2[j], rel=1e-12)
+            assert ug1[j] == pytest.approx(-dg1[j], rel=1e-12)
+            assert ug2[j] == pytest.approx(dg2[j], rel=1e-12)
 
 
 class TestHarmonicVectors:
@@ -68,14 +76,18 @@ class TestHarmonicVectors:
         assert abs(np.vdot(k_hat, vecs.script_g)) < 1e-12 * vecs.f_mag
 
     def test_azimuth_invariance_of_magnitudes(self):
+        # the azimuth rotates the Cartesian vectors and phases the flip
+        # vector; their lengths stay those at phi_k = 0
         theta = 0.95 * math.pi
         ref = harmonic_vectors(solve_final_state(theta, 1, BEAM, LASER),
                                BEAM, LASER, 1)
         for phi in (0.4, 2.0, 5.1):
             kin = solve_final_state(theta, 1, BEAM, LASER, phi_k=phi)
             vecs = harmonic_vectors(kin, BEAM, LASER, 1)
-            assert vecs.f_mag == pytest.approx(ref.f_mag, rel=1e-12)
-            assert vecs.g_mag == pytest.approx(ref.g_mag, rel=1e-12)
+            assert np.linalg.norm(vecs.script_f) == pytest.approx(
+                ref.f_mag, rel=1e-12)
+            assert np.linalg.norm(vecs.script_g) == pytest.approx(
+                ref.g_mag, rel=1e-12)
 
     def test_spin_flip_vanishes_at_forward(self):
         kin = solve_final_state(math.pi, 1, BEAM, LASER)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import qfel.emission
 from qfel.beamfield import LaserField, make_beam
 from qfel.amplitudes import outgoing_polarization
 from qfel.emission import (angular_spectrum, averaged_cross_section,
@@ -79,13 +80,6 @@ class TestAveraged:
         pt = averaged_cross_section(math.pi, BEAM, LASER)
         assert 1e6 * pt.value == pytest.approx(1.15, rel=0.05)
 
-    def test_azimuth_independent(self):
-        ref = averaged_cross_section(0.98 * math.pi, BEAM, LASER).value
-        for phi in (0.7, 2.9):
-            got = averaged_cross_section(0.98 * math.pi, BEAM, LASER,
-                                         phi_k=phi).value
-            assert got == pytest.approx(ref, rel=1e-12)
-
     def test_truncation_stable(self):
         for frac in (0.5, 0.9, 1.0):
             lo = averaged_cross_section(frac * math.pi, BEAM, LASER,
@@ -139,6 +133,39 @@ class TestAngularSpectrum:
                                       [kin.k_prime for kin in kins])
         np.testing.assert_array_equal(spectrum.polarization_x, want[:, 0])
         np.testing.assert_array_equal(spectrum.polarization_y, want[:, 1])
+
+    @pytest.mark.parametrize("intensity", [1e19, 1e24])
+    def test_scalar_calls_are_views_of_the_sweep(self, monkeypatch,
+                                                 intensity):
+        # the sweep sums its grid in one array call; the scalar calls run
+        # the same code on one element, so every angle agrees bitwise
+        laser = LaserField(785.0, intensity)
+        thetas = np.linspace(0.0, math.pi, 41)
+        calls = []
+        averaged = qfel.emission.averaged_cross_section
+
+        def recording(*args, **kwargs):
+            calls.append(averaged(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(qfel.emission, "averaged_cross_section",
+                            recording)
+        spectrum = angular_spectrum(BEAM, laser, thetas)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        sweep = calls[0]
+        np.testing.assert_array_equal(sweep.value, spectrum.averaged)
+        assert np.unique(sweep.harmonic).size > 1
+        for j, theta in enumerate(thetas.tolist()):
+            point = averaged_cross_section(theta, BEAM, laser)
+            np.testing.assert_array_equal(point.value, sweep.value[j])
+            assert point.harmonic == sweep.harmonic[j]
+            kin = solve_final_state(theta, 1, BEAM, laser)
+            np.testing.assert_array_equal(kin.k_prime, spectrum.k_prime[j])
+            pol = outgoing_polarization(kin, BEAM, laser, 1, 1)
+            np.testing.assert_array_equal(
+                pol[:2], [spectrum.polarization_x[j],
+                          spectrum.polarization_y[j]])
 
     def test_invalid_grid(self):
         with pytest.raises(DomainError):

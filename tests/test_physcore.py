@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 import scipy.integrate
 
+from oracles import integrate_ode
 from qfel import physcore
 from qfel.errors import DomainError, NumericError
 
@@ -62,16 +63,37 @@ class TestBessel:
     def test_against_scipy_moderate(self):
         xs = np.linspace(-30.0, 30.0, 241)
         for order in range(0, 9):
-            got = np.array([physcore.bessel_jn(order, x) for x in xs])
+            got = physcore.bessel_jn(order, xs)
             want = scipy.special.jv(order, xs)
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
     def test_against_scipy_large_argument(self):
-        for x in (50.0, 123.456, 900.0, 5000.0):
-            for order in (0, 1, 2, 5, 10):
-                got = physcore.bessel_jn(order, x)
-                want = scipy.special.jv(order, x)
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-13)
+        xs = np.array([50.0, 123.456, 900.0, 5000.0])
+        for order in (0, 1, 2, 5, 10):
+            got = physcore.bessel_jn(order, xs)
+            want = scipy.special.jv(order, xs)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-13)
+
+    def test_documented_range_against_scipy(self):
+        # the docstring's contract, sampled on n = 0..600, x = 0..50:
+        # relative error below 1e-12 except next to zeros, where 1e-15 of
+        # the largest |J_n| on the grid is allowed.  Orders past 170 at
+        # x <= 9 used to come out as 0, because 171! overflows a float.
+        xs = np.linspace(0.0, 50.0, 101)
+        orders = [*range(0, 60, 3), *range(60, 601, 40), 169, 170, 171, 172]
+        for order in orders:
+            got = physcore.bessel_jn(order, xs)
+            want = scipy.special.jv(order, xs)
+            scale = float(np.max(np.abs(want)))
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-15 * scale + 1e-300)
+
+    def test_array_equals_scalar_calls(self):
+        xs = np.linspace(-50.0, 50.0, 11)
+        for order in (0, 1, -3, 31, 171, 600):
+            got = physcore.bessel_jn(order, xs)
+            for x, want in zip(xs.tolist(), got):
+                assert physcore.bessel_jn(order, x) == want
 
     def test_negative_order_reflection(self):
         for x in (0.7, 3.3, 17.0):
@@ -94,16 +116,16 @@ class TestBessel:
 
 class TestOdeIntegrator:
     def test_exponential_decay(self):
-        ls, ys = physcore.integrate_ode(lambda l, y: -y, 1.0, (0.0, 5.0), 2000)
+        ls, ys = integrate_ode(lambda l, y: -y, 1.0, (0.0, 5.0), 2000)
         np.testing.assert_allclose(ys, np.exp(-ls), rtol=1e-9)
 
     def test_logistic_vs_scipy(self):
         rhs = lambda l, y: y * (1.0 - y)
-        ls, ys = physcore.integrate_ode(rhs, 0.1, (0.0, 8.0), 4000)
+        ls, ys = integrate_ode(rhs, 0.1, (0.0, 8.0), 4000)
         sol = scipy.integrate.solve_ivp(rhs, (0.0, 8.0), [0.1], t_eval=ls,
                                         rtol=1e-11, atol=1e-13)
         np.testing.assert_allclose(ys, sol.y[0], rtol=1e-8)
 
     def test_nonfinite_detected(self):
         with pytest.raises(NumericError):
-            physcore.integrate_ode(lambda l, y: y * y, 1.0, (0.0, 10.0), 100)
+            integrate_ode(lambda l, y: y * y, 1.0, (0.0, 10.0), 100)
