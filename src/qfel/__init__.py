@@ -8,7 +8,7 @@ from .beamfield import (CO_PROPAGATING, HEAD_ON, ElectronBeam, LaserField,
                         coherence_amplitude, critical_density, make_beam)
 from .emission import (AngularSpectrum, CrossSectionPoint, angular_spectrum,
                        averaged_cross_section, diff_cross_section,
-                       klein_nishina_reference, transition_rate_density)
+                       transition_rate_density)
 from .errors import (ClosedChannelError, ConfigError, DomainError,
                      NumericError, QfelError)
 from .kinematics import (CoherenceProbe, EmissionKinematics, coherence_probe,

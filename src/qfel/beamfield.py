@@ -12,6 +12,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import physcore
 from .errors import DomainError
 
@@ -64,7 +66,8 @@ class LaserField:
 
 @dataclass(frozen=True)
 class ElectronBeam:
-    """Collinear electron beam (p_perp = 0) on the mass shell.
+    """Collinear electron beam (p_perp = 0) on the mass shell; the float
+    fields are arrays for a beam made from an array of energies.
 
     ``e_minus_pz`` and ``e_plus_pz`` are stored explicitly because for
     ultrarelativistic head-on beams E + p_z underflows to roundoff noise
@@ -82,7 +85,9 @@ class ElectronBeam:
 
 def make_beam(energy_mev, direction=HEAD_ON, spin=1, density_m3=0.0,
               laser: LaserField | None = None):
-    """Construct an on-shell beam from its lab energy in MeV.
+    """Construct an on-shell beam from its lab energy in MeV, a float or an
+    array of energies.  A float gives Python floats with the same bits as
+    that element of an array.
 
     Head-on beams move toward -z (against the laser).  When a laser is
     supplied, warns if the density exceeds one millionth of the critical
@@ -94,22 +99,25 @@ def make_beam(energy_mev, direction=HEAD_ON, spin=1, density_m3=0.0,
         raise DomainError(f"spin must be +1 or -1, got {spin!r}")
     if density_m3 < 0.0:
         raise DomainError(f"density must be >= 0, got {density_m3}")
-    e = physcore.to_natural_energy(energy_mev)
-    if e < 1.0:
+    with np.errstate(over="ignore"):
+        e = np.asarray(physcore.to_natural_energy(energy_mev), dtype=float)
+        below = e < 1.0
+        if below.any():
+            raise DomainError(
+                f"beam energy {physcore.first_where(energy_mev, below)} MeV "
+                "is below the electron rest mass")
+        p = np.sqrt((e - 1.0) * (e + 1.0))
+    overflow = p == math.inf
+    if overflow.any():
         raise DomainError(
-            f"beam energy {energy_mev} MeV is below the electron rest mass")
-    p = math.sqrt((e - 1.0) * (e + 1.0))
-    if p == math.inf:
-        raise DomainError(
-            f"beam energy {energy_mev} MeV is outside the floating-point range")
+            f"beam energy {physcore.first_where(energy_mev, overflow)} MeV "
+            "is outside the floating-point range")
+    toward = e + p
+    away = 1.0 / toward         # (E^2 - p^2)/(E + p), exact on shell
     if direction == HEAD_ON:
-        pz = -p
-        e_minus_pz = e + p
-        e_plus_pz = 1.0 / e_minus_pz    # (E^2 - p^2)/(E + p), exact on shell
+        pz, e_minus_pz, e_plus_pz = -p, toward, away
     else:
-        pz = p
-        e_plus_pz = e + p
-        e_minus_pz = 1.0 / e_plus_pz
+        pz, e_minus_pz, e_plus_pz = p, away, toward
     if laser is not None and density_m3 > 0.0 and laser.ea > 0.0:
         nc = critical_density(laser)
         if density_m3 > nc / 1e6:
@@ -117,6 +125,8 @@ def make_beam(energy_mev, direction=HEAD_ON, spin=1, density_m3=0.0,
                 f"beam density {density_m3:.3g}/m^3 is within 1e6 of the "
                 f"critical density {nc:.3g}/m^3; space-charge effects ignored "
                 "here may matter", stacklevel=2)
+    if e.ndim == 0:
+        e, pz, e_minus_pz, e_plus_pz = map(float, (e, pz, e_minus_pz, e_plus_pz))
     return ElectronBeam(energy=e, pz=pz, spin=spin, density_m3=density_m3,
                         direction=direction, e_minus_pz=e_minus_pz,
                         e_plus_pz=e_plus_pz)

@@ -11,6 +11,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -121,14 +122,93 @@ def _fmt(x):
     return f"{float(x):.11e}"
 
 
+# '%.11e' over a whole table.  A cell |x| = m 10^(e - 11) is written from
+# its 12-digit integer mantissa m and decimal exponent e as five
+# little-endian 32-bit words of lookup tables: [sign d0 '.' d1]
+# [d2..d5] [d6..d9] [d10 d11 'e' exponent-sign] [e2 e1 e0 separator].  A
+# 0 byte marks the absent sign and the absent third exponent digit, and
+# is dropped at the end.
+def _words(shape, *columns):
+    """uint32 table over an index grid of the given shape whose four
+    little-endian bytes are the columns, each broadcast against the grid."""
+    table = np.empty(shape + (4,), dtype=np.uint8)
+    for byte, column in enumerate(columns):
+        table[..., byte] = column
+    return table.view("<u4").ravel()
+
+
+def _chars(text):
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+
+
+_DIGIT = _chars("0123456789")
+_LEAD = _words((2, 10, 10), _chars("\x00-")[:, None, None], _DIGIT[:, None],
+               ord("."), _DIGIT)                 # [100 sign + d0 d1]
+_QUAD = _words((10, 10, 10, 10), _DIGIT[:, None, None, None],
+               _DIGIT[:, None, None], _DIGIT[:, None], _DIGIT)   # [d d d d]
+_TAIL = _words((2, 10, 10), _DIGIT[:, None], _DIGIT, ord("e"),
+               _chars("+-")[:, None, None])      # [100 (e < 0) + d10 d11]
+_EXP = _words((10, 10, 10), _chars("\x00123456789")[:, None, None],
+              _DIGIT[:, None], _DIGIT, ord(","))  # [|e|], no leading 0
+_NEWLINE = (ord(",") ^ ord("\n")) << 24        # turns a ',' into a newline
+_POW10 = np.array([float(f"1e{k}") for k in range(-300, 308)])   # [k + 300]
+_DECIDED = (1e-290, 1e290)      # |x| range the scaling decides
+_TIE_WINDOW = 1e-3              # nearer .5 than this, '%.11e' decides
+
+
+def _mantissas(a):
+    """Integer mantissas m in [1e11, 1e12) and exponents e with a rounded
+    to 12 significant digits equal to m 10^(e - 11), for finite a >= 0.
+
+    The scaled value a 10^(11 - e) carries two roundings (the power of ten
+    and the product), at most about 2 ulp of 1e12 or 2.5e-4 in all, so
+    rint gives the correctly rounded m wherever the scaled value lies more
+    than 1e-3 from a half-integer.  The other cells, and |x| outside
+    1e-290...1e290 (subnormals included), are formatted by Python's own
+    '%.11e' and read back; zeros give m = e = 0.
+    """
+    inside = (a >= _DECIDED[0]) & (a <= _DECIDED[1])
+    safe = np.where(inside, a, 1.0)
+    e = np.floor(np.log10(safe)).astype(np.int64)
+    scaled = safe * _POW10[311 - e]
+    # log10 may put e one off next to a power of ten
+    off = np.flatnonzero((scaled < 1e11) | (scaled >= 1e12))
+    e.flat[off] += np.where(scaled.flat[off] < 1e11, -1, 1)
+    scaled.flat[off] = safe.flat[off] * _POW10[311 - e.flat[off]]
+    m = np.rint(scaled)
+    zero = a == 0.0
+    decided = (inside | zero) & (np.abs(scaled - m) < 0.5 - _TIE_WINDOW)
+    carry = m == 1e12
+    m[carry] = 1e11
+    e[carry] += 1
+    m[zero] = 0.0
+    m = m.astype(np.int64)
+    for i in np.flatnonzero(~decided).tolist():
+        text = _fmt(a.flat[i])
+        m.flat[i], e.flat[i] = int(text[0] + text[2:13]), int(text[14:])
+    return m, e
+
+
 def _rows(columns, prefix=""):
-    """CSV rows of equal-length numeric columns, each cell as ``_fmt``
-    writes it: one '%' format per row over the columns' ``tolist``."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    if not all(np.isfinite(c).all() for c in columns):
+    """The CSV rows of equal-length numeric columns, joined by newlines,
+    with every cell exactly as ``_fmt`` ('%.11e') writes it."""
+    table = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
+    if not np.isfinite(table).all():
         raise DomainError("a CSV cell is outside the floating-point range")
-    fmt = prefix + ",".join(["%.11e"] * len(columns))
-    return [fmt % row for row in zip(*(c.tolist() for c in columns))]
+    m, e = _mantissas(np.abs(table))
+    words = np.empty(table.shape + (5,), dtype="<u4")
+    words[..., 0] = _LEAD[m // 10**10 + 100 * np.signbit(table)]
+    words[..., 1] = _QUAD[m // 10**6 % 10**4]
+    words[..., 2] = _QUAD[m // 100 % 10**4]
+    words[..., 3] = _TAIL[m % 100 + 100 * (e < 0)]
+    words[..., 4] = _EXP[np.abs(e)]
+    words[:, -1, 4] ^= _NEWLINE
+    text = words.view(np.uint8).reshape(len(table), 20 * table.shape[1])
+    if prefix:
+        head = np.broadcast_to(_chars(prefix), (len(table), len(prefix)))
+        text = np.concatenate([head, text], axis=1)
+    text = text.ravel()
+    return text[text != 0][:-1].tobytes().decode("ascii")
 
 
 def _headlines(*items):
@@ -175,12 +255,11 @@ def cmd_kinematics(config):
     energies = np.linspace(config["sweep.energy_min_mev"],
                            config["sweep.energy_max_mev"],
                            config["sweep.energy_points"])
-    kp_mev = [physcore.from_natural_energy(emitted_photon_energy(
-        math.pi, 1, _beam(config, energy_mev=e_mev), laser))
-        for e_mev in energies.tolist()]
+    kp_mev = physcore.from_natural_energy(emitted_photon_energy(
+        math.pi, 1, _beam(config, energy_mev=energies), laser))
     lines = _header("kinematics", config)
     lines.append("# columns: energy_mev,k_prime_mev")
-    lines.extend(_rows((energies, kp_mev)))
+    lines.append(_rows((energies, kp_mev)))
     return "\n".join(lines) + "\n"
 
 
@@ -198,7 +277,7 @@ def cmd_angular(config):
     lines = _header("angular", config)
     lines.append("# columns: theta_over_pi,k_prime_mev,y_avg_xsec_times_1e6,"
                  "pol_x_re,pol_x_im,pol_y_re,pol_y_im")
-    lines.extend(_rows(columns))
+    lines.append(_rows(columns))
     return "\n".join(lines) + "\n"
 
 
@@ -235,7 +314,7 @@ def cmd_tube(config):
                  "photon_compton,n_m3,photon_m3")
     vol = density_si_to_compton(1.0)
     for s, prof in enumerate(result.profiles, start=1):
-        lines.extend(_rows((prof.l_m, prof.n, prof.n_prime, prof.photon,
+        lines.append(_rows((prof.l_m, prof.n, prof.n_prime, prof.photon,
                             prof.n / vol, prof.photon / vol), prefix=f"{s},"))
     return "\n".join(lines) + "\n"
 
@@ -288,7 +367,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qfel",
         description="Gamma emission from electrons wiggling in a laser.")
@@ -307,8 +388,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         config = parse_config(args.config, args.overrides)

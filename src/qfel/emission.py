@@ -3,9 +3,7 @@
 Cross sections follow the convention of the source framework: the
 differential cross section of a piece of the background wave of one
 Compton volume, in Compton-wavelength-squared units per steradian.
-Stimulated emission enters as the (N_occ + 1) factor.  An independent
-Klein-Nishina oracle (rest-frame formula plus exact boost) serves as the
-zero-amplitude limit reference.
+Stimulated emission enters as the (N_occ + 1) factor.
 """
 
 from __future__ import annotations
@@ -167,34 +165,3 @@ def angular_spectrum(beam: ElectronBeam, laser: LaserField, theta_grid,
                                sigma, sigma)
     return AngularSpectrum(thetas=thetas, k_prime=first.k_prime, averaged=avg,
                            polarization_x=pol[:, 0], polarization_y=pol[:, 1])
-
-
-# ---------------------------------------------------------------------------
-# Independent Klein-Nishina oracle for the zero-amplitude limit.
-
-
-def klein_nishina_rest(k_in, cos_theta):
-    """Rest-frame Klein-Nishina dsigma/dOmega [Compton wavelength^2 / sr],
-    unpolarized, for incident photon energy k_in [m_e]."""
-    kp = k_in / (1.0 + k_in * (1.0 - cos_theta))
-    ratio = kp / k_in
-    sin2 = 1.0 - cos_theta * cos_theta
-    return 0.5 * physcore.FINE_STRUCTURE**2 * ratio**2 * (
-        ratio + 1.0 / ratio - sin2)
-
-
-def klein_nishina_reference(theta, beam: ElectronBeam, k):
-    """Lab-frame Klein-Nishina dsigma/dOmega for a photon of energy k moving
-    along +z scattering off the beam electrons, observed at lab angle theta.
-
-    Composes the rest-frame formula with the exact longitudinal boost of
-    angles and the solid-angle Jacobian.
-    """
-    ct = math.cos(theta)
-    k_rest = k * beam.e_minus_pz
-    # (cos - beta)/(1 - beta cos) and (1-beta^2)/(1 - beta cos)^2 written
-    # with E and p_z to avoid 1 +- beta cancellation for fast beams
-    denom = beam.energy - beam.pz * ct
-    cos_rest = (beam.energy * ct - beam.pz) / denom
-    jac = 1.0 / (denom * denom)
-    return klein_nishina_rest(k_rest, cos_rest) * jac

@@ -50,7 +50,8 @@ def emitted_photon_energy(theta, harmonic, beam: ElectronBeam, laser: LaserField
     N k (E - p_z) / (E + q - (p_z + q) cos theta) with
     q = N k + eA^2 / (2 (E - p_z)): the exact root of the selection rules.
     Reduces to the Compton value when the laser amplitude vanishes; at
-    theta = 0 it collapses to N*k exactly.
+    theta = 0 it collapses to N*k exactly.  A beam made from an array of
+    energies gives one photon energy per beam energy.
     """
     if harmonic < 1:
         raise ClosedChannelError(f"harmonic order must be >= 1, got {harmonic}")

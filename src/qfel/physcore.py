@@ -30,10 +30,19 @@ MC3_W_M = ELECTRON_MASS_J * SPEED_OF_LIGHT
 
 
 def to_natural_energy(e_mev):
-    """Convert an energy in MeV to electron-mass units."""
-    if e_mev < 0.0:
-        raise DomainError(f"energy must be >= 0, got {e_mev} MeV")
+    """Convert an energy in MeV (a float or an array) to electron-mass
+    units."""
+    negative = np.asarray(e_mev) < 0.0
+    if negative.any():
+        raise DomainError(
+            f"energy must be >= 0, got {first_where(e_mev, negative)} MeV")
     return e_mev / ELECTRON_MASS_MEV
+
+
+def first_where(values, mask):
+    """The first element of a float or array where mask holds, as it would
+    print from a float (for error messages)."""
+    return values if np.ndim(values) == 0 else float(np.asarray(values)[mask][0])
 
 
 def from_natural_energy(e_nat):

@@ -150,31 +150,28 @@ class MultiSectionResult:
     warnings: tuple = ()
 
 
-def _forward_photon_energy_mev(beam, laser):
-    kin = solve_final_state(math.pi, 1, beam, laser)
-    return physcore.from_natural_energy(kin.k_prime)
-
-
 _UNIT_TENSION_NOTE = (
     "density-unit tension: the one-half conversion rule holds for dense "
     "beams (n0 >> 1 per Compton volume); at the configured density the "
     "exact solution converts a fraction {frac:.3f} of the electrons")
 
 
-def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
-                      sections, seed_m3=0.0, samples=200):
-    """Chain seeded sections with fresh electrons injected (and spent ones
-    removed) at every boundary; photons carry over.
-
-    Returns both the exact chained photon density and the headline
-    one-half-per-section estimate, flagging the unit tension between them.
-    """
+def _forward(beam: ElectronBeam, laser: LaserField, sections):
+    """Checked inputs of a section chain: the gain coefficient, the gain
+    length and the forward photon energy [MeV]."""
     if sections < 1:
         raise DomainError(f"section count must be >= 1, got {sections}")
-    n0_si = beam.density_m3
-    if n0_si <= 0.0:
+    if beam.density_m3 <= 0.0:
         raise DomainError("multi-section run requires a positive beam density")
     a, gain_length = gain_coefficient(beam, laser)
+    kin = solve_final_state(math.pi, 1, beam, laser)
+    return a, gain_length, physcore.from_natural_energy(kin.k_prime)
+
+
+def _chain(beam, forward, section_length_m, sections, seed_m3, samples):
+    """One linear chain of sections for the ``_forward`` of the beam."""
+    a, gain_length, kp_mev = forward
+    n0_si = beam.density_m3
     n0 = density_si_to_compton(n0_si)
     seed = density_si_to_compton(seed_m3)
     profiles = []
@@ -186,10 +183,7 @@ def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
     exact_si = density_compton_to_si(seed)
     headline_si = density_compton_to_si(density_si_to_compton(seed_m3)) \
         + 0.5 * n0_si * sections
-    kp_mev = _forward_photon_energy_mev(beam, laser)
-    first = profiles[0]
-    converted = float(first.photon[-1] - density_si_to_compton(seed_m3)
-                      if sections else 0.0)
+    converted = float(profiles[0].photon[-1] - density_si_to_compton(seed_m3))
     frac = converted / n0 if n0 > 0 else 0.0
     notes = (_UNIT_TENSION_NOTE.format(frac=frac),)
     return MultiSectionResult(
@@ -200,6 +194,18 @@ def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
         headline_intensity_w_m2=output_intensity(headline_si, kp_mev),
         photon_energy_mev=kp_mev, gain=a, gain_length_m=gain_length,
         warnings=notes)
+
+
+def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
+                      sections, seed_m3=0.0, samples=200):
+    """Chain seeded sections with fresh electrons injected (and spent ones
+    removed) at every boundary; photons carry over.
+
+    Returns both the exact chained photon density and the headline
+    one-half-per-section estimate, flagging the unit tension between them.
+    """
+    return _chain(beam, _forward(beam, laser, sections), section_length_m,
+                  sections, seed_m3, samples)
 
 
 def run_cyclic(beam: ElectronBeam, laser: LaserField, section_length_m,
@@ -216,12 +222,11 @@ def run_cyclic(beam: ElectronBeam, laser: LaserField, section_length_m,
         raise DomainError(f"cycle count must be >= 1, got {cycles}")
     if not 0.0 <= efficiency <= 1.0:
         raise DomainError("reflection efficiency must lie in [0, 1]")
-    result = None
+    forward = _forward(beam, laser, sections_per_cycle)
     notes = []
     for c in range(cycles):
-        result = run_multi_section(beam, laser, section_length_m,
-                                   sections_per_cycle, seed_m3=seed_m3,
-                                   samples=samples)
+        result = _chain(beam, forward, section_length_m, sections_per_cycle,
+                        seed_m3, samples)
         if c < cycles - 1:
             seed_m3 = result.photon_density_m3 * efficiency
     lam_nm = physcore.wavelength_from_photon_energy(

@@ -1,12 +1,15 @@
-"""Test-only references for the tube closed forms: a fixed-step RK4
-integrator, the right-hand side of the seeded balance equation, and the
-unseeded closed form written exactly as quoted."""
+"""Test-only references: for the tube closed forms a fixed-step RK4
+integrator, the right-hand side of the seeded balance equation and the
+unseeded closed form written exactly as quoted; for the zero-amplitude
+limit of the cross section the Klein-Nishina formula (rest-frame formula
+plus exact boost)."""
 
 import math
 
 import numpy as np
 
 from qfel import physcore
+from qfel.beamfield import ElectronBeam
 from qfel.errors import DomainError, NumericError
 from qfel.tube import TubeConfig, TubeProfile
 
@@ -65,3 +68,30 @@ def balance_rhs(n, n0, seed, gain):
     b = 2.0 * seed + 3.0 * n0 + 1.0
     c = n0 * (n0 + seed)
     return gain * (2.0 * n * n - b * n + c) / physcore.COMPTON_WAVELENGTH_M
+
+
+def klein_nishina_rest(k_in, cos_theta):
+    """Rest-frame Klein-Nishina dsigma/dOmega [Compton wavelength^2 / sr],
+    unpolarized, for incident photon energy k_in [m_e]."""
+    kp = k_in / (1.0 + k_in * (1.0 - cos_theta))
+    ratio = kp / k_in
+    sin2 = 1.0 - cos_theta * cos_theta
+    return 0.5 * physcore.FINE_STRUCTURE**2 * ratio**2 * (
+        ratio + 1.0 / ratio - sin2)
+
+
+def klein_nishina_reference(theta, beam: ElectronBeam, k):
+    """Lab-frame Klein-Nishina dsigma/dOmega for a photon of energy k moving
+    along +z scattering off the beam electrons, observed at lab angle theta.
+
+    Composes the rest-frame formula with the exact longitudinal boost of
+    angles and the solid-angle Jacobian.
+    """
+    ct = math.cos(theta)
+    k_rest = k * beam.e_minus_pz
+    # (cos - beta)/(1 - beta cos) and (1-beta^2)/(1 - beta cos)^2 written
+    # with E and p_z to avoid 1 +- beta cancellation for fast beams
+    denom = beam.energy - beam.pz * ct
+    cos_rest = (beam.energy * ct - beam.pz) / denom
+    jac = 1.0 / (denom * denom)
+    return klein_nishina_rest(k_rest, cos_rest) * jac

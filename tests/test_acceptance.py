@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 import decimal_oracle
-from oracles import balance_rhs, evolve_analytic, integrate_ode
+from oracles import (balance_rhs, evolve_analytic, integrate_ode,
+                     klein_nishina_reference)
 from qfel import physcore
 from qfel.beamfield import (CO_PROPAGATING, LaserField, coherence_amplitude,
                             critical_density, make_beam)
 from qfel.amplitudes import harmonic_vectors, outgoing_polarization
 from qfel.cli import cmd_angular, cmd_kinematics, main, parse_config
-from qfel.emission import averaged_cross_section, klein_nishina_reference
+from qfel.emission import averaged_cross_section
 from qfel.kinematics import (coherence_probe, coherent_intensity_from_shift,
                              compton_energy, emitted_photon_energy,
                              solve_final_state, wavelength_shift)

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from qfel import physcore
@@ -105,6 +106,28 @@ class TestMakeBeam:
             make_beam(0.1)
         with pytest.raises(DomainError):
             make_beam(1e160)      # p = sqrt(E^2 - 1) overflows
+
+    @pytest.mark.parametrize("direction", (HEAD_ON, CO_PROPAGATING))
+    def test_array_equals_scalar_calls(self, direction):
+        energies = np.concatenate(([physcore.ELECTRON_MASS_MEV, 0.511, 307.0],
+                                   np.geomspace(0.52, 1e11, 61)))
+        beam = make_beam(energies, direction=direction, spin=-1)
+        for i, e_mev in enumerate(energies.tolist()):
+            one = make_beam(e_mev, direction=direction, spin=-1)
+            for name in ("energy", "pz", "e_minus_pz", "e_plus_pz"):
+                value = getattr(one, name)
+                assert type(value) is float
+                assert (np.float64(value).tobytes()
+                        == getattr(beam, name)[i].tobytes())
+
+    def test_array_errors_name_the_first_bad_energy(self):
+        with pytest.raises(DomainError, match="beam energy 0.1 MeV is below"):
+            make_beam(np.array([307.0, 0.1, 0.2]))
+        with pytest.raises(DomainError,
+                           match="beam energy 1e[+]160 MeV is outside"):
+            make_beam(np.array([307.0, 1e160, 1e200]))
+        with pytest.raises(DomainError, match="got -1.0 MeV"):
+            physcore.to_natural_energy(np.array([1.0, -1.0]))
 
     def test_density_warning(self):
         laser = LaserField(785.0, 1e19)

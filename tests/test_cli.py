@@ -9,12 +9,14 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qfel.beamfield import LaserField, make_beam
-from qfel.cli import _SCHEMA, main, parse_config
-from qfel.errors import ConfigError
+from qfel.cli import _SCHEMA, _parser, _rows, main, parse_config
+from qfel.errors import ConfigError, DomainError
 from qfel.tube import run_multi_section
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -107,6 +109,76 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(None, ["sweep.energy_min_mev=900",
                                 "sweep.energy_max_mev=100"])
+
+
+class TestParser:
+    def test_built_once(self):
+        assert _parser() is _parser()
+
+    def test_set_lists_do_not_leak_between_calls(self, tmp_path):
+        _, first = run_cli(["limits", "--set", "beam.energy_mev=100",
+                            "--set", "beam.spin=-1"], tmp_path, "a.csv")
+        _, second = run_cli(["limits", "--set", "beam.spin=-1"], tmp_path,
+                            "b.csv")
+        _, third = run_cli(["limits"], tmp_path, "c.csv")
+        assert "# beam.energy_mev = 1.00000000000e+02" in first
+        assert "# beam.energy_mev = 3.07000000000e+02" in second
+        assert "# beam.spin = -1" in second
+        assert "# beam.spin = 1" in third.splitlines()
+        assert third == run_cli(["limits"], tmp_path, "d.csv")[1]
+        assert _parser().parse_args(["limits"]).overrides == []
+
+
+def _percent_rows(table, prefix):
+    return "\n".join(prefix + ",".join("%.11e" % v for v in row)
+                     for row in table.tolist())
+
+
+class TestCsvCells:
+    @settings(max_examples=100)
+    @given(table=arrays(np.float64, st.tuples(st.integers(0, 12),
+                                              st.integers(1, 7)),
+                        elements=st.floats(allow_nan=False,
+                                           allow_infinity=False)),
+           prefix=st.sampled_from(("", "3,", "100,")))
+    @example(table=np.array([[0.0, -0.0, 5e-324, -5e-324,
+                              1.7976931348623157e308,
+                              -1.7976931348623157e308]]), prefix="")
+    @example(table=np.array([[1000000000005.0, 123456789012.5, 0.5],
+                             [-1000000000005.0, -123456789012.5, -0.5]]),
+             prefix="7,")
+    # exact ties scaled by an inexact power of ten (10^-5): without the
+    # tie window, rint of the scaled value rounds them the wrong way
+    @example(table=np.array([[1.050265285445e16, 4.310259657905e16,
+                              2.343809315345e16, -8.207891152525e16]]),
+             prefix="")
+    @example(table=np.array([[9.999999999995e-5, np.nextafter(1e-5, 0.0)],
+                             [-9.999999999995e-5, -np.nextafter(1e-5, 0.0)]]),
+             prefix="")
+    @example(table=np.array([[1e-290, 1e290, np.nextafter(1e-290, 0.0),
+                              np.nextafter(1e290, np.inf), -1e-290, -1e290]]),
+             prefix="12,")
+    def test_cells_equal_percent_format(self, table, prefix):
+        # the array kernel writes every cell as '%.11e' does, signed zeros,
+        # exact decimal ties, the 10^12 carry and the fallback range included
+        assert _rows(table.T, prefix) == _percent_rows(table, prefix)
+
+    def test_many_cells_equal_percent_format(self):
+        # random bit patterns cover every exponent; log-uniform magnitudes
+        # cover every decade
+        rng = np.random.default_rng(8)
+        bits = rng.integers(0, 2**64, size=60000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        decades = 10.0 ** rng.uniform(-310.0, 308.0, 60000)
+        for cells in (values, decades, -decades):
+            table = cells[:cells.size // 6 * 6].reshape(-1, 6)
+            assert _rows(table.T, "5,") == _percent_rows(table, "5,")
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_cell_is_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            _rows(([1.0, 2.0], [3.0, bad]))
 
 
 class TestExitCodes:
@@ -306,6 +378,14 @@ class TestGoldenFiles:
     def test_angular_sweep(self, tmp_path):
         _, text = run_cli(["angular"], tmp_path)
         self.compare(os.path.join(GOLDEN_DIR, "fig2.csv"), text)
+
+    @pytest.mark.parametrize("command, golden", (("kinematics", "fig1.csv"),
+                                                 ("angular", "fig2.csv")))
+    def test_bytes_equal_golden(self, command, golden, tmp_path):
+        # the comparison above forgives the 12th digit; the files do not
+        assert main([command, "--out", str(tmp_path / "out.csv")]) == 0
+        with open(os.path.join(GOLDEN_DIR, golden), "rb") as fh:
+            assert (tmp_path / "out.csv").read_bytes() == fh.read()
 
 
 class TestDeterminism:

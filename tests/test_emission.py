@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import qfel.emission
+from oracles import klein_nishina_reference, klein_nishina_rest
 from qfel.beamfield import LaserField, make_beam
 from qfel.amplitudes import outgoing_polarization
 from qfel.emission import (angular_spectrum, averaged_cross_section,
-                           diff_cross_section, klein_nishina_reference,
-                           klein_nishina_rest, transition_rate_density)
+                           diff_cross_section, transition_rate_density)
 from qfel.errors import DomainError, NumericError
 from qfel.kinematics import solve_final_state
 

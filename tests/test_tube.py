@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import qfel.tube
 from qfel import physcore
 from qfel.beamfield import LaserField, make_beam
 from qfel.errors import DomainError
@@ -183,6 +184,17 @@ class TestCyclic:
         cyclic = run_cyclic(BEAM, LASER, 0.01, 2, 2, 1.0, seed_m3=1e17)
         assert cyclic.photon_density_m3 == pytest.approx(
             chain.photon_density_m3, rel=1e-12)
+
+    def test_gain_computed_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(beam, laser):
+            calls.append(1)
+            return gain_coefficient(beam, laser)
+
+        monkeypatch.setattr(qfel.tube, "gain_coefficient", counted)
+        run_cyclic(BEAM, LASER, 0.01, 2, 3, 0.5)
+        assert len(calls) == 1
 
     def test_band_warning_for_hard_gamma(self):
         # 2.26 MeV photons are far below the Bragg-reflectable wavelength
