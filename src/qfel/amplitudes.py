@@ -1,11 +1,12 @@
 """Transition-amplitude building blocks, for one angle or an array of them.
 
 Closed-form coefficient tables times the Bessel factors J_{N-nu}(p'_perp R')
-of the neighbor harmonics nu give real components: the spin-keep vector is
-F1 e1 + i F2 e2 and the spin-flip vector (G1 e1 + i G2 e2) e^{i sigma phi_k}
-on the transverse basis at phi_k.  Cross sections need only the components;
-``harmonic_vectors`` builds the Cartesian vectors, and the definite outgoing
-photon polarization is the unit vector along the open channel's vector.
+of the neighbor harmonics nu = 0, +1, -1 (one stacked series) give real
+components: the spin-keep vector is F1 e1 + i F2 e2 and the spin-flip vector
+(G1 e1 + i G2 e2) e^{i sigma phi_k} on the transverse basis at phi_k; the
+sigma = -1 table negates F2 and G1 of the sigma = +1 one.  Cross sections
+need only the components; ``harmonic_vectors`` builds the Cartesian vectors,
+and the outgoing photon polarization is the unit vector along the open channel.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def fg_coefficients(kin: EmissionKinematics, beam: ElectronBeam,
 
 def bessel_factors(kin: EmissionKinematics):
     """J_{N-nu}(p'_perp R') for nu = 0, +1, -1; both spins share them."""
-    x = kin.p_perp_prime * kin.radius_prime
-    return tuple(bessel_jn(kin.harmonic - nu, x) for nu in (0, 1, -1))
+    n = kin.harmonic
+    return bessel_jn((n, n - 1, n + 1), kin.p_perp_prime * kin.radius_prime)
 
 
 def harmonic_components(kin: EmissionKinematics, beam: ElectronBeam,
@@ -102,7 +103,14 @@ def harmonic_components(kin: EmissionKinematics, beam: ElectronBeam,
     """(F1, F2, G1, G2) of one channel from its ``bessel_factors``: the
     spin-keep vector is F1 e1 + i F2 e2 and the spin-flip vector is
     (G1 e1 + i G2 e2) e^{i sigma phi_k}."""
-    f, g = fg_coefficients(kin, beam, laser, sigma)
+    return table_components(fg_coefficients(kin, beam, laser, sigma), sigma,
+                            bessel)
+
+
+def table_components(table, sigma, bessel):
+    """``harmonic_components`` from a table of ``fg_coefficients(...,
+    sigma)``, whose neighbor harmonics are ordered (0, sigma, -sigma)."""
+    f, g = table
     # table positions of nu = 0, +1, -1
     pos = (0, 1, 2) if sigma == 1 else (0, 2, 1)
     return tuple(sum(c[p] * b for p, b in zip(pos, bessel))

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physcore
-from .amplitudes import (bessel_factors, channel_polarization,
-                         harmonic_components, harmonic_vectors)
+from .amplitudes import (bessel_factors, channel_polarization, fg_coefficients,
+                         harmonic_components, harmonic_vectors,
+                         table_components)
 from .beamfield import ElectronBeam, LaserField
 from .errors import DomainError, NumericError
 from .kinematics import EmissionKinematics, solve_final_state
@@ -116,10 +117,11 @@ def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
             kin = solve_final_state(thetas[live], n, beam, laser)
             pref = _channel_prefactor(kin, beam, laser, n_occ)
             bessel = bessel_factors(kin)
+            # one table for both spins: sigma = -1 only negates F2 and G1
+            table = fg_coefficients(kin, beam, laser, 1)
             term = 0.0
             for sigma in (1, -1):
-                f1, f2, g1, g2 = harmonic_components(kin, beam, laser, sigma,
-                                                     bessel)
+                f1, f2, g1, g2 = table_components(table, sigma, bessel)
                 term = term + pref * (f1 * f1 + f2 * f2 + g1 * g1 + g2 * g2)
             summed = total[live] + 0.5 * term
             total[live] = summed

@@ -31,17 +31,18 @@ def wiggling_radius(beam: ElectronBeam, laser: LaserField):
     return laser.ea / (laser.k * beam.e_minus_pz)
 
 
-def _light_cone_denominator(theta, beam: ElectronBeam, q):
-    """E + q - (p_z + q) cos theta in light-cone variables,
+def _light_cone_denominators(theta, beam: ElectronBeam, *qs):
+    """E + q - (p_z + q) cos theta for each q, in light-cone variables:
     (s0 + 2q) sin^2(theta/2) + d0 cos^2(theta/2), a sum of non-negative
     terms that never cancels (d0 = E - p_z, s0 = E + p_z)."""
     s, c = np.sin(0.5 * theta), np.cos(0.5 * theta)
-    return (beam.e_plus_pz + 2.0 * q) * (s * s) + beam.e_minus_pz * (c * c)
+    s2, c2 = s * s, c * c
+    return [(beam.e_plus_pz + 2.0 * q) * s2 + beam.e_minus_pz * c2 for q in qs]
 
 
 def compton_energy(theta, beam: ElectronBeam, k):
     """Scattered photon energy in the zero-amplitude (Compton) limit."""
-    return k * beam.e_minus_pz / _light_cone_denominator(theta, beam, k)
+    return k * beam.e_minus_pz / _light_cone_denominators(theta, beam, k)[0]
 
 
 def emitted_photon_energy(theta, harmonic, beam: ElectronBeam, laser: LaserField):
@@ -51,13 +52,10 @@ def emitted_photon_energy(theta, harmonic, beam: ElectronBeam, laser: LaserField
     q = N k + eA^2 / (2 (E - p_z)): the exact root of the selection rules.
     Reduces to the Compton value when the laser amplitude vanishes; at
     theta = 0 it collapses to N*k exactly.  A beam made from an array of
-    energies gives one photon energy per beam energy.
+    energies gives one photon energy per beam energy.  This is the k' of
+    ``solve_final_state``.
     """
-    if harmonic < 1:
-        raise ClosedChannelError(f"harmonic order must be >= 1, got {harmonic}")
-    q = harmonic * laser.k + laser.ea**2 / (2.0 * beam.e_minus_pz)
-    return harmonic * laser.k * beam.e_minus_pz / _light_cone_denominator(
-        theta, beam, q)
+    return solve_final_state(theta, harmonic, beam, laser).k_prime
 
 
 @dataclass(frozen=True)
@@ -84,16 +82,19 @@ def solve_final_state(theta, harmonic, beam: ElectronBeam, laser: LaserField,
 
     With E' - p'_z = (E - p_z) - k'(1 - cos theta) and the self-consistent
     R' = eA / (k (E' - p'_z)), the final mass shell is linear in k', so
-    its root is ``emitted_photon_energy``.  The final light-cone
-    components follow without subtraction:
+    its root is k' = N k (E - p_z) / D(q) (``emitted_photon_energy``).
+    The final light-cone components follow without subtraction:
     E' - p'_z = (E - p_z) D(eA^2 / (2 (E - p_z))) / D(q) with D the
     emission-energy denominator, and E' + p'_z = (1 + p'_perp^2) / (E' - p'_z)
-    from the mass shell.
+    from the mass shell.  Both denominators share one sin and cos of theta/2.
     """
-    kp = emitted_photon_energy(theta, harmonic, beam, laser)
+    if harmonic < 1:
+        raise ClosedChannelError(f"harmonic order must be >= 1, got {harmonic}")
     shift = laser.ea**2 / (2.0 * beam.e_minus_pz)
-    d = (beam.e_minus_pz * _light_cone_denominator(theta, beam, shift)
-         / _light_cone_denominator(theta, beam, harmonic * laser.k + shift))
+    d_q, d_shift = _light_cone_denominators(theta, beam,
+                                            harmonic * laser.k + shift, shift)
+    kp = harmonic * laser.k * beam.e_minus_pz / d_q
+    d = beam.e_minus_pz * d_shift / d_q
     pp = kp * np.sin(theta)
     s = (1.0 + pp * pp) / d
     return EmissionKinematics(
@@ -112,7 +113,7 @@ def wavelength_shift(theta, beam: ElectronBeam, radiation: LaserField):
     linear in the coherent intensity.
     """
     return (radiation.ea * math.sin(0.5 * theta)) ** 2 / (
-        beam.e_minus_pz * _light_cone_denominator(theta, beam, radiation.k))
+        beam.e_minus_pz * _light_cone_denominators(theta, beam, radiation.k)[0])
 
 
 def coherent_intensity_from_shift(measured_shift, theta, beam: ElectronBeam,

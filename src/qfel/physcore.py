@@ -73,52 +73,56 @@ def wave_number_natural(lambda_nm):
 # Bessel functions of integer order.
 #
 # Up to its cancellation threshold the ascending power series (DLMF
-# 10.2.2) is summed over the whole array of arguments, each element
-# stopping where its own sum converges.  The rarer elements beyond it
-# take a downward Miller recurrence normalized by J_0 + 2 sum J_2m = 1
-# (DLMF 3.6), one at a time.
+# 10.2.2) is summed over the whole (orders, arguments) block at once,
+# each element stopping where its own sum converges.  The rarer elements
+# beyond it take a downward Miller recurrence normalized by
+# J_0 + 2 sum J_2m = 1 (DLMF 3.6), one order and one argument at a time.
 
 _BESSEL_SERIES_CUT = 9.0
 _BESSEL_MAX_ARG = 1e6
 
 
 def bessel_jn(order, x):
-    """J_n(x) for an integer order n and a float or 1-D array of arguments.
+    """J_n(x) for an integer order n and a float or 1-D array of arguments;
+    a 1-D sequence of orders gives one row per order.
 
     For |x| <= 50 and any order the relative error is below 1e-12 away
     from the zeros of J_n; values below the smallest float come out as 0.
     |x| must stay below 1e6.  A float argument gives the same bits as
-    the same element of an array.
+    the same element of an array, and a row the bits of its order's call.
     """
-    n = int(order)
-    if n != order:
+    orders = np.atleast_1d(order).tolist()
+    n = np.array([int(o) for o in orders])[:, None]     # one row per order
+    if n[:, 0].tolist() != orders:
         raise DomainError(f"order must be an integer, got {order!r}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float).ravel()
     bad = ~(np.abs(xs) < _BESSEL_MAX_ARG)
     if bad.any():
         raise DomainError(
             f"Bessel argument out of supported range: {float(xs[bad][0])!r}")
     odd = n % 2 == 1
-    sign = -1.0 if n < 0 and odd else 1.0
+    sign = np.where((n < 0) & odd, -1.0, 1.0)
     n = abs(n)
     negative = xs < 0.0
     ax = np.where(negative, -xs, xs)
     small = ax <= _BESSEL_SERIES_CUT
-    out = np.empty_like(ax)
-    out[small] = _bessel_series(n, ax[small])
-    out[~small] = [_bessel_miller(n, v) for v in ax[~small].tolist()]
+    out = np.empty((n.size, ax.size))
+    out[:, small] = _bessel_series(n, ax[small])
+    for row, nj in zip(out, n[:, 0].tolist()):
+        row[~small] = [_bessel_miller(nj, v) for v in ax[~small].tolist()]
     out = np.where(negative & odd, -sign, sign) * out
-    return out if np.ndim(x) else out[0]
+    return out.reshape(np.shape(order) + np.shape(x))[()]
 
 
 def _bessel_series(n, x):
     half = 0.5 * x
-    lead = min(n, 170)                  # 171! is beyond the float range
-    term = half**lead / float(math.factorial(lead))
-    for j in range(lead + 1, n + 1):
-        term = term * (half / j)
-    total = term
-    summing = np.ones(x.shape, dtype=bool)
+    term = total = np.empty((n.size, x.size))
+    for row, nj in zip(term, n[:, 0].tolist()):
+        lead = min(nj, 170)             # 171! is beyond the float range
+        row[:] = half**lead / float(math.factorial(lead))
+        for j in range(lead + 1, nj + 1):
+            row *= half / j
+    summing = np.ones(term.shape, dtype=bool)
     m = 0
     while True:
         m += 1

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from qfel.amplitudes import (fg_coefficients, harmonic_vectors,
-                             outgoing_polarization, polarization_basis)
+from qfel.amplitudes import (bessel_factors, fg_coefficients,
+                             harmonic_components, harmonic_vectors,
+                             outgoing_polarization, polarization_basis,
+                             table_components)
 from qfel.beamfield import LaserField, make_beam
 from qfel.errors import ClosedChannelError, DomainError
 from qfel.kinematics import solve_final_state
@@ -65,6 +67,26 @@ class TestCoefficientTable:
             assert uf2[j] == pytest.approx(-df2[j], rel=1e-12)
             assert ug1[j] == pytest.approx(-dg1[j], rel=1e-12)
             assert ug2[j] == pytest.approx(dg2[j], rel=1e-12)
+
+    @pytest.mark.parametrize("direction", ["head_on", "co_propagating"])
+    @pytest.mark.parametrize("intensity", [1e19, 1e24, 1e28])
+    def test_spin_down_from_spin_up_table(self, direction, intensity):
+        # the harmonic sum builds one table for both spins: read with the
+        # sigma = -1 layout, the sigma = +1 table gives the spin-down
+        # components up to exact sign flips, so their magnitudes agree
+        # bitwise
+        laser = LaserField(785.0, intensity)
+        beam = make_beam(307.0, direction=direction)
+        thetas = np.linspace(0.0, math.pi, 61)
+        for n in range(1, 12):
+            kin = solve_final_state(thetas, n, beam, laser)
+            bessel = bessel_factors(kin)
+            shared = table_components(fg_coefficients(kin, beam, laser, 1),
+                                      -1, bessel)
+            own = harmonic_components(kin, beam, laser, -1, bessel)
+            for got, want in zip(shared, own):
+                np.testing.assert_array_equal(np.abs(got).view(np.int64),
+                                              np.abs(want).view(np.int64))
 
 
 class TestHarmonicVectors:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import qfel.amplitudes
 import qfel.emission
 from oracles import klein_nishina_reference, klein_nishina_rest
 from qfel.beamfield import LaserField, make_beam
@@ -166,6 +167,31 @@ class TestAngularSpectrum:
             np.testing.assert_array_equal(
                 pol[:2], [spectrum.polarization_x[j],
                           spectrum.polarization_y[j]])
+
+    @pytest.mark.parametrize("intensity", [1e19, 1e24])
+    def test_one_bessel_pass_and_one_table_per_harmonic(self, monkeypatch,
+                                                        intensity):
+        # each summed harmonic makes one stacked Bessel call and one
+        # coefficient table for both spins; the harmonic-1 polarization
+        # makes one more of each
+        laser = LaserField(785.0, intensity)
+        thetas = np.linspace(0.0, math.pi, 41)
+        used = averaged_cross_section(thetas, BEAM, laser).harmonic
+        counts = {"bessel_jn": 0, "fg_coefficients": 0}
+
+        def counter(fn):
+            def counted(*args):
+                counts[fn.__name__] += 1
+                return fn(*args)
+            return counted
+
+        for module, name in ((qfel.amplitudes, "bessel_jn"),
+                             (qfel.amplitudes, "fg_coefficients"),
+                             (qfel.emission, "fg_coefficients")):
+            monkeypatch.setattr(module, name, counter(getattr(module, name)))
+        angular_spectrum(BEAM, laser, thetas)
+        assert counts == {"bessel_jn": used.max() + 1,
+                          "fg_coefficients": used.max() + 1}
 
     def test_invalid_grid(self):
         with pytest.raises(DomainError):

@@ -95,6 +95,30 @@ class TestBessel:
             for x, want in zip(xs.tolist(), got):
                 assert physcore.bessel_jn(order, x) == want
 
+    def test_order_rows_equal_single_order_calls(self):
+        # one stacked series for a sequence of orders gives each row the
+        # bits of its own call, signed zeros included, on both sides of
+        # the series cut at 9
+        orders = [*range(-5, 41), 169, 170, 171, 172, 600]
+        nine = [np.nextafter(9.0, 0.0), 9.0, np.nextafter(9.0, 10.0)]
+        xs = np.concatenate([np.linspace(-50.0, 50.0, 201), [-0.0, 0.0],
+                             nine, np.negative(nine)])
+        rows = physcore.bessel_jn(orders, xs)
+        assert rows.shape == (len(orders), xs.size)
+        for order, row in zip(orders, rows):
+            want = physcore.bessel_jn(order, xs)
+            np.testing.assert_array_equal(row.view(np.int64),
+                                          want.view(np.int64))
+        at = int(np.flatnonzero((xs == 0.0) & np.signbit(xs))[0])
+        np.testing.assert_array_equal(
+            physcore.bessel_jn(orders, -0.0).view(np.int64),
+            rows[:, at].view(np.int64))
+
+    def test_non_integer_order_rejected(self):
+        for order in (2.5, (1, 2.5), [3, 4, 0.1]):
+            with pytest.raises(DomainError):
+                physcore.bessel_jn(order, 1.0)
+
     def test_negative_order_reflection(self):
         for x in (0.7, 3.3, 17.0):
             for order in (1, 2, 3):
