@@ -93,9 +93,12 @@ def fg_coefficients(kin: EmissionKinematics, beam: ElectronBeam,
 
 
 def bessel_factors(kin: EmissionKinematics):
-    """J_{N-nu}(p'_perp R') for nu = 0, +1, -1; both spins share them."""
+    """J_{N-nu}(p'_perp R') for nu = 0, +1, -1; both spins share them.  A
+    column of harmonics takes one stacked call, a row of arguments per order."""
     n = kin.harmonic
-    return bessel_jn((n, n - 1, n + 1), kin.p_perp_prime * kin.radius_prime)
+    x = kin.p_perp_prime * kin.radius_prime
+    rows = bessel_jn(np.ravel((n, n - 1, n + 1)), np.vstack((x, x, x)))
+    return rows.reshape(3, *np.shape(x))
 
 
 def harmonic_components(kin: EmissionKinematics, beam: ElectronBeam,

@@ -23,6 +23,7 @@ from .kinematics import EmissionKinematics, solve_final_state
 
 DEFAULT_HARMONIC_MAX = 8
 _TRUNCATION_RTOL = 1e-14
+_BLOCK_ELEMENTS = 2048                  # (harmonic, angle) elements per block
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,22 @@ def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
                            n_occ=0, harmonic_max=DEFAULT_HARMONIC_MAX):
     """Spin-averaged, polarization-summed differential cross section at one
     angle or a 1-D array of angles: (1/2) sum over basis polarizations and
-    both spin labels, summed over harmonics 1..harmonic_max.  Each harmonic
-    is evaluated once for the angles still summing; an angle stops at the
-    first term at most 1e-14 of its total, which ``harmonic`` reports."""
+    both spin labels, summed over harmonics 1..harmonic_max.  An angle stops
+    at the first term at most 1e-14 of its total, which ``harmonic``
+    reports.
+
+    The harmonics come in blocks of H = max(1, min(harmonics left,
+    2048 // angles still summing)): one final-state solve, one Bessel
+    call and one coefficient table over the (H, angles) block, then the
+    sum over its rows in order of N, so every angle gets the additions
+    and the stop of a sum one harmonic at a time.  Terms past an angle's
+    stop are computed and dropped: nearly free while per-call overhead
+    dominates small arrays, but not on large ones, hence H = 1 from 2048
+    angles up.  A block ends early at the first of its later rows with
+    a Bessel argument outside the array series (above 9, or out of
+    range): a scalar recurrence there could be paid for harmonics that
+    no angle reaches, and only the first row, which every angle in the
+    block reaches, may raise."""
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if thetas.ndim != 1:
         raise DomainError("theta must be a float or a 1-D array")
@@ -112,23 +126,38 @@ def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
     total = np.zeros_like(thetas)
     used = np.zeros(thetas.shape, dtype=int)
     live = np.arange(thetas.size)       # angles still summing
+    n = 1                               # first harmonic of the next block
     with np.errstate(all="ignore"):
-        for n in range(1, harmonic_max + 1):
-            kin = solve_final_state(thetas[live], n, beam, laser)
+        while n <= harmonic_max and live.size:
+            height = max(1, min(harmonic_max - n + 1,
+                                _BLOCK_ELEMENTS // live.size))
+            harmonics = np.arange(n, n + height)[:, None]
+            kin = solve_final_state(thetas[live], harmonics, beam, laser)
+            in_series = physcore.bessel_series_range(
+                kin.p_perp_prime[1:] * kin.radius_prime[1:]).all(axis=1)
+            if not in_series.all():     # end the block before that row
+                kin = solve_final_state(thetas[live],
+                                        harmonics[:1 + np.argmin(in_series)],
+                                        beam, laser)
             pref = _channel_prefactor(kin, beam, laser, n_occ)
             bessel = bessel_factors(kin)
             # one table for both spins: sigma = -1 only negates F2 and G1
             table = fg_coefficients(kin, beam, laser, 1)
-            term = 0.0
+            terms = 0.0
             for sigma in (1, -1):
                 f1, f2, g1, g2 = table_components(table, sigma, bessel)
-                term = term + pref * (f1 * f1 + f2 * f2 + g1 * g1 + g2 * g2)
-            summed = total[live] + 0.5 * term
-            total[live] = summed
-            used[live] = n
-            live = live[~(term <= _TRUNCATION_RTOL * summed)]
-            if live.size == 0:
-                break
+                terms = terms + pref * (f1 * f1 + f2 * f2 + g1 * g1 + g2 * g2)
+            cols = np.arange(live.size)     # columns of the block still summing
+            for row in terms:
+                term = row[cols]
+                summed = total[live] + 0.5 * term
+                total[live] = summed
+                used[live] = n
+                n += 1
+                going = ~(term <= _TRUNCATION_RTOL * summed)
+                live, cols = live[going], cols[going]
+                if live.size == 0:
+                    break
     bad = ~np.isfinite(total)
     if bad.any():
         raise NumericError(f"the cross section at theta={float(thetas[bad][0])} "

@@ -61,10 +61,10 @@ def emitted_photon_energy(theta, harmonic, beam: ElectronBeam, laser: LaserField
 @dataclass(frozen=True)
 class EmissionKinematics:
     """Full final-state bundle of one harmonic channel; the float fields
-    other than the radius R are arrays when theta is."""
+    other than the radius R are arrays when theta or harmonic is."""
 
     theta: float
-    harmonic: int
+    harmonic: int               # or an integer column of harmonics
     k_prime: float
     e_prime: float
     pz_prime: float
@@ -87,9 +87,14 @@ def solve_final_state(theta, harmonic, beam: ElectronBeam, laser: LaserField,
     E' - p'_z = (E - p_z) D(eA^2 / (2 (E - p_z))) / D(q) with D the
     emission-energy denominator, and E' + p'_z = (1 + p'_perp^2) / (E' - p'_z)
     from the mass shell.  Both denominators share one sin and cos of theta/2.
+    An integer column of harmonics (a block of ``averaged_cross_section``)
+    gives one row per harmonic over the angles, each row with the bits of
+    that harmonic's own call.
     """
-    if harmonic < 1:
-        raise ClosedChannelError(f"harmonic order must be >= 1, got {harmonic}")
+    low = np.asarray(harmonic) < 1
+    if low.any():
+        raise ClosedChannelError(
+            f"harmonic order must be >= 1, got {physcore.first_where(harmonic, low)}")
     shift = laser.ea**2 / (2.0 * beam.e_minus_pz)
     d_q, d_shift = _light_cone_denominators(theta, beam,
                                             harmonic * laser.k + shift, shift)

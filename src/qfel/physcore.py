@@ -84,7 +84,9 @@ _BESSEL_MAX_ARG = 1e6
 
 def bessel_jn(order, x):
     """J_n(x) for an integer order n and a float or 1-D array of arguments;
-    a 1-D sequence of orders gives one row per order.
+    a 1-D sequence of orders gives one row per order, over the same
+    arguments or, when x is 2-D, over its own row of x (how a block of
+    harmonics gets J_{N-1}, J_N and J_{N+1} of all its rows in one call).
 
     For |x| <= 50 and any order the relative error is below 1e-12 away
     from the zeros of J_n; values below the smallest float come out as 0.
@@ -95,39 +97,52 @@ def bessel_jn(order, x):
     n = np.array([int(o) for o in orders])[:, None]     # one row per order
     if n[:, 0].tolist() != orders:
         raise DomainError(f"order must be an integer, got {order!r}")
-    xs = np.asarray(x, dtype=float).ravel()
+    xs = np.asarray(x, dtype=float)
+    paired = xs.ndim == 2               # one row of arguments per order
+    if xs.ndim > 2 or (paired and (np.ndim(order) != 1 or len(xs) != n.size)):
+        raise DomainError("x must be a float, a 1-D array or one row per order")
     bad = ~(np.abs(xs) < _BESSEL_MAX_ARG)
     if bad.any():
         raise DomainError(
             f"Bessel argument out of supported range: {float(xs[bad][0])!r}")
+    if not paired:
+        xs = np.broadcast_to(xs.ravel(), (n.size, xs.size))
     odd = n % 2 == 1
     sign = np.where((n < 0) & odd, -1.0, 1.0)
     n = abs(n)
     negative = xs < 0.0
     ax = np.where(negative, -xs, xs)
     small = ax <= _BESSEL_SERIES_CUT
-    out = np.empty((n.size, ax.size))
-    out[:, small] = _bessel_series(n, ax[small])
-    for row, nj in zip(out, n[:, 0].tolist()):
-        row[~small] = [_bessel_miller(nj, v) for v in ax[~small].tolist()]
+    out = _bessel_series(n, np.where(small, ax, 0.0))
+    if not small.all():
+        for row, nj, a, s in zip(out, n[:, 0].tolist(), ax, small):
+            row[~s] = [_bessel_miller(nj, v) for v in a[~s].tolist()]
     out = np.where(negative & odd, -sign, sign) * out
-    return out.reshape(np.shape(order) + np.shape(x))[()]
+    return out if paired else out.reshape(np.shape(order) + np.shape(x))[()]
+
+
+def bessel_series_range(x):
+    """True where ``bessel_jn`` takes x into the array series: no scalar
+    recurrence and no range error, whatever the order."""
+    ax = np.abs(x)
+    return (ax <= _BESSEL_SERIES_CUT) & (ax < _BESSEL_MAX_ARG)
 
 
 def _bessel_series(n, x):
     half = 0.5 * x
-    term = total = np.empty((n.size, x.size))
-    for row, nj in zip(term, n[:, 0].tolist()):
+    term = total = np.empty(x.shape)
+    for row, h, nj in zip(term, half, n[:, 0].tolist()):
         lead = min(nj, 170)             # 171! is beyond the float range
-        row[:] = half**lead / float(math.factorial(lead))
+        row[:] = h**lead / float(math.factorial(lead))
         for j in range(lead + 1, nj + 1):
-            row *= half / j
+            row *= h / j
+    minus_half2 = -(half * half)
     summing = np.ones(term.shape, dtype=bool)
     m = 0
     while True:
         m += 1
-        term = term * (-(half * half) / (m * (n + m)))
-        total = np.where(summing, total + term, total)
+        term = term * (minus_half2 / (m * (n + m)))
+        np.add(total, term, out=total, where=summing)
         summing &= ~(np.abs(term) <= 1e-17 * np.abs(total) + 1e-308)
         if m > 200 or not summing.any():
             return total

@@ -2,15 +2,19 @@
 integrator, the right-hand side of the seeded balance equation and the
 unseeded closed form written exactly as quoted; for the zero-amplitude
 limit of the cross section the Klein-Nishina formula (rest-frame formula
-plus exact boost)."""
+plus exact boost); for the blocked harmonic sum the same sum taken one
+harmonic at a time."""
 
 import math
 
 import numpy as np
 
 from qfel import physcore
-from qfel.beamfield import ElectronBeam
+from qfel.amplitudes import bessel_factors, fg_coefficients, table_components
+from qfel.beamfield import ElectronBeam, LaserField
+from qfel.emission import _TRUNCATION_RTOL, _channel_prefactor
 from qfel.errors import DomainError, NumericError
+from qfel.kinematics import solve_final_state
 from qfel.tube import TubeConfig, TubeProfile
 
 
@@ -95,3 +99,35 @@ def klein_nishina_reference(theta, beam: ElectronBeam, k):
     cos_rest = (beam.energy * ct - beam.pz) / denom
     jac = 1.0 / (denom * denom)
     return klein_nishina_rest(k_rest, cos_rest) * jac
+
+
+def averaged_cross_section_per_harmonic(thetas, beam: ElectronBeam,
+                                        laser: LaserField, n_occ=0,
+                                        harmonic_max=8):
+    """(value, harmonic) arrays of ``averaged_cross_section`` over a 1-D
+    theta array, summed one harmonic at a time: each harmonic is solved,
+    given its Bessel factors and its coefficient table for the angles
+    still summing, and nothing past an angle's stop is evaluated."""
+    thetas = np.asarray(thetas, dtype=float)
+    total = np.zeros_like(thetas)
+    used = np.zeros(thetas.shape, dtype=int)
+    live = np.arange(thetas.size)
+    with np.errstate(all="ignore"):
+        for n in range(1, harmonic_max + 1):
+            kin = solve_final_state(thetas[live], n, beam, laser)
+            pref = _channel_prefactor(kin, beam, laser, n_occ)
+            bessel = bessel_factors(kin)
+            table = fg_coefficients(kin, beam, laser, 1)
+            term = 0.0
+            for sigma in (1, -1):
+                f1, f2, g1, g2 = table_components(table, sigma, bessel)
+                term = term + pref * (f1 * f1 + f2 * f2 + g1 * g1 + g2 * g2)
+            summed = total[live] + 0.5 * term
+            total[live] = summed
+            used[live] = n
+            live = live[~(term <= _TRUNCATION_RTOL * summed)]
+            if live.size == 0:
+                break
+    if not np.isfinite(total).all():
+        raise NumericError("the cross section is not finite")
+    return total, used

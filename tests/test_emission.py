@@ -7,12 +7,14 @@ import pytest
 
 import qfel.amplitudes
 import qfel.emission
-from oracles import klein_nishina_reference, klein_nishina_rest
+from qfel import physcore
+from oracles import (averaged_cross_section_per_harmonic,
+                     klein_nishina_reference, klein_nishina_rest)
 from qfel.beamfield import LaserField, make_beam
 from qfel.amplitudes import outgoing_polarization
 from qfel.emission import (angular_spectrum, averaged_cross_section,
                            diff_cross_section, transition_rate_density)
-from qfel.errors import DomainError, NumericError
+from qfel.errors import DomainError, NumericError, QfelError
 from qfel.kinematics import solve_final_state
 
 LASER = LaserField(785.0, 1e19)
@@ -169,15 +171,18 @@ class TestAngularSpectrum:
                           spectrum.polarization_y[j]])
 
     @pytest.mark.parametrize("intensity", [1e19, 1e24])
-    def test_one_bessel_pass_and_one_table_per_harmonic(self, monkeypatch,
-                                                        intensity):
-        # each summed harmonic makes one stacked Bessel call and one
-        # coefficient table for both spins; the harmonic-1 polarization
-        # makes one more of each
+    @pytest.mark.parametrize("points", [41, 3000])
+    def test_one_bessel_pass_and_one_table_per_block(self, monkeypatch,
+                                                     intensity, points):
+        # each block of harmonics makes one solve, one stacked Bessel call
+        # and one coefficient table for both spins; the harmonic-1
+        # polarization makes one more of each.  No Bessel argument here
+        # exceeds 9, so every block has the height of the budget rule.
         laser = LaserField(785.0, intensity)
-        thetas = np.linspace(0.0, math.pi, 41)
-        used = averaged_cross_section(thetas, BEAM, laser).harmonic
+        thetas = np.linspace(0.0, math.pi, points)
         counts = {"bessel_jn": 0, "fg_coefficients": 0}
+        blocks = []                     # (first harmonic, height, angles)
+        solve = qfel.emission.solve_final_state
 
         def counter(fn):
             def counted(*args):
@@ -185,13 +190,34 @@ class TestAngularSpectrum:
                 return fn(*args)
             return counted
 
+        def recording(theta, harmonic, *args):
+            if np.ndim(harmonic) == 2:
+                blocks.append((int(harmonic[0, 0]), len(harmonic),
+                               np.size(theta)))
+            return solve(theta, harmonic, *args)
+
         for module, name in ((qfel.amplitudes, "bessel_jn"),
                              (qfel.amplitudes, "fg_coefficients"),
                              (qfel.emission, "fg_coefficients")):
             monkeypatch.setattr(module, name, counter(getattr(module, name)))
+        monkeypatch.setattr(qfel.emission, "solve_final_state", recording)
         angular_spectrum(BEAM, laser, thetas)
-        assert counts == {"bessel_jn": used.max() + 1,
-                          "fg_coefficients": used.max() + 1}
+        monkeypatch.undo()
+        assert counts == {"bessel_jn": len(blocks) + 1,
+                          "fg_coefficients": len(blocks) + 1}
+        cap = qfel.emission.DEFAULT_HARMONIC_MAX
+        first = 1
+        for n, height, live in blocks:
+            assert n == first
+            assert height == max(1, min(cap - n + 1, 2048 // live))
+            first += height
+        used = averaged_cross_section(thetas, BEAM, laser).harmonic
+        assert first > used.max()
+        if points == 41:
+            assert blocks == [(1, cap, points)]
+        else:
+            assert blocks[0] == (1, 1, points)
+            assert max(height for _, height, _ in blocks) > 1
 
     def test_invalid_grid(self):
         with pytest.raises(DomainError):
@@ -242,3 +268,101 @@ class TestKleinNishinaOracle:
             kn = klein_nishina_reference(theta, BEAM, field.k)
             vals.append(avg / (field.photon_density_compton() * kn))
         assert vals[0] == pytest.approx(vals[1], rel=0.02)
+
+
+class TestHarmonicBlocks:
+    """The blocked harmonic sum against the same sum one harmonic at a
+    time (``oracles.averaged_cross_section_per_harmonic``): equal bits
+    in every value and every harmonic count."""
+
+    # (intensity W/m^2, harmonic cap, beam energy MeV, direction, spin)
+    CASES = [(1e19, 8, 307.0, "head_on", 1),
+             (1e19, 60, 307.0, "co_propagating", -1),
+             (1e24, 1, 307.0, "head_on", -1),
+             (1e24, 8, 307.0, "head_on", -1),
+             (1e24, 30, 1e6, "co_propagating", 1),
+             (1e25, 30, 307.0, "head_on", 1),
+             (1e25, 8, 307.0, "co_propagating", -1),
+             (1e28, 60, 307.0, "head_on", -1)]
+
+    # at 1e28 W/m^2 most Bessel arguments exceed 9 and take the scalar
+    # Miller recurrence, about 12 s for 3000 angles to cap 60
+    @pytest.mark.parametrize("intensity,cap,energy,direction,spin,points", [
+        (*case, points) for case in CASES for points in (1, 41, 150, 3000)
+        if (case[0], points) != (1e28, 3000)])
+    def test_bits_equal_one_harmonic_at_a_time(self, intensity, cap, energy,
+                                               direction, spin, points):
+        laser = LaserField(785.0, intensity)
+        beam = make_beam(energy, direction=direction, spin=spin)
+        thetas = (np.array([0.97 * math.pi]) if points == 1
+                  else np.linspace(0.0, math.pi, points))
+        got = averaged_cross_section(thetas, beam, laser, harmonic_max=cap)
+        value, used = averaged_cross_section_per_harmonic(
+            thetas, beam, laser, harmonic_max=cap)
+        np.testing.assert_array_equal(got.value.view(np.int64),
+                                      value.view(np.int64))
+        np.testing.assert_array_equal(got.harmonic, used)
+
+    @pytest.mark.parametrize("intensity,points", [(1e19, 41), (1e24, 150),
+                                                  (1e24, 3000)])
+    def test_out_of_range_bessel_argument_raises_alike(self, monkeypatch,
+                                                       intensity, points):
+        # a harmonic past every angle's stop may have any argument: only a
+        # reached one may raise, in the block as one harmonic at a time
+        laser = LaserField(785.0, intensity)
+        thetas = np.linspace(0.0, math.pi, points)
+        cap = 30
+        _, used = averaged_cross_section_per_harmonic(thetas, BEAM, laser,
+                                                      harmonic_max=cap)
+        args = np.array([np.abs(kin.p_perp_prime * kin.radius_prime)
+                         for kin in (solve_final_state(thetas, n, BEAM, laser)
+                                     for n in range(1, cap + 1))])
+        reached = np.arange(1, cap + 1)[:, None] <= used
+        top = args[reached].max()
+        if intensity == 1e19:
+            # blocks hold harmonics past every stop with larger arguments
+            assert args.max() > top
+        limits = [np.nextafter(top, np.inf), top,
+                  float(np.median(args[reached])), 0.5 * top]
+        outcomes = []
+        for limit in limits:
+            monkeypatch.setattr(physcore, "_BESSEL_MAX_ARG", limit)
+            results = []
+            for fn in (averaged_cross_section,
+                       averaged_cross_section_per_harmonic):
+                try:
+                    results.append(fn(thetas, BEAM, laser, harmonic_max=cap))
+                except QfelError as exc:        # compared by type below
+                    results.append(type(exc))
+            block, single = results
+            if isinstance(single, type):
+                assert block is single
+            else:
+                np.testing.assert_array_equal(block.value, single[0])
+                np.testing.assert_array_equal(block.harmonic, single[1])
+            outcomes.append(single)
+        assert not isinstance(outcomes[0], type)
+        assert outcomes[1] is DomainError
+
+    @pytest.mark.parametrize("intensity,points", [(1e26, 150), (1e28, 41)])
+    def test_no_scalar_recurrence_past_a_stop(self, monkeypatch, intensity,
+                                              points):
+        # arguments above 9 take the scalar Miller recurrence, far dearer
+        # than the array series: the blocks make exactly the scalar calls
+        # of the sum one harmonic at a time
+        laser = LaserField(785.0, intensity)
+        thetas = np.linspace(0.0, math.pi, points)
+        miller = physcore._bessel_miller
+        calls = []
+
+        def counted(n, x):
+            calls.append(n)
+            return miller(n, x)
+
+        monkeypatch.setattr(physcore, "_bessel_miller", counted)
+        counts = []
+        for fn in (averaged_cross_section, averaged_cross_section_per_harmonic):
+            calls.clear()
+            fn(thetas, BEAM, laser, harmonic_max=60)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0

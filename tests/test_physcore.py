@@ -113,6 +113,21 @@ class TestBessel:
         np.testing.assert_array_equal(
             physcore.bessel_jn(orders, -0.0).view(np.int64),
             rows[:, at].view(np.int64))
+        # a 2-D argument pairs its rows with the orders: every element has
+        # the bits of its order's scalar call, Miller rows (x > 9) included
+        paired = np.stack([np.roll(xs, 17 * i)[::8] for i in range(len(orders))])
+        assert (paired > 9.0).any(axis=1).all()
+        got = physcore.bessel_jn(orders, paired)
+        assert got.shape == paired.shape
+        for order, args, row in zip(orders, paired.tolist(), got):
+            want = [physcore.bessel_jn(order, x) for x in args]
+            np.testing.assert_array_equal(row.view(np.int64),
+                                          np.array(want).view(np.int64))
+        for bad in (np.zeros((len(orders) - 1, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(DomainError):
+                physcore.bessel_jn(orders, bad)
+        with pytest.raises(DomainError):
+            physcore.bessel_jn(3, np.zeros((1, 3)))
 
     def test_non_integer_order_rejected(self):
         for order in (2.5, (1, 2.5), [3, 4, 0.1]):
