@@ -1,14 +1,14 @@
 """Gamma-photon emission from relativistic electrons wiggling in an
-intense circularly polarized laser: kinematics, polarized cross
-sections, tube gain dynamics, and coherence diagnostics."""
+intense circularly polarized laser: kinematics, the spin-averaged cross
+section and photon polarization, tube gain dynamics, and coherence
+diagnostics."""
 
 __version__ = "0.1.0"
 
 from .beamfield import (CO_PROPAGATING, HEAD_ON, ElectronBeam, LaserField,
                         coherence_amplitude, critical_density, make_beam)
 from .emission import (AngularSpectrum, CrossSectionPoint, angular_spectrum,
-                       averaged_cross_section, diff_cross_section,
-                       transition_rate_density)
+                       averaged_cross_section)
 from .errors import (ClosedChannelError, ConfigError, DomainError,
                      NumericError, QfelError)
 from .kinematics import (CoherenceProbe, EmissionKinematics, coherence_probe,

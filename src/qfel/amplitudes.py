@@ -101,18 +101,11 @@ def bessel_factors(kin: EmissionKinematics):
     return rows.reshape(3, *np.shape(x))
 
 
-def harmonic_components(kin: EmissionKinematics, beam: ElectronBeam,
-                        laser: LaserField, sigma, bessel):
-    """(F1, F2, G1, G2) of one channel from its ``bessel_factors``: the
-    spin-keep vector is F1 e1 + i F2 e2 and the spin-flip vector is
-    (G1 e1 + i G2 e2) e^{i sigma phi_k}."""
-    return table_components(fg_coefficients(kin, beam, laser, sigma), sigma,
-                            bessel)
-
-
 def table_components(table, sigma, bessel):
-    """``harmonic_components`` from a table of ``fg_coefficients(...,
-    sigma)``, whose neighbor harmonics are ordered (0, sigma, -sigma)."""
+    """(F1, F2, G1, G2) of channel sigma from a table of ``fg_coefficients(...,
+    sigma)``, whose neighbor harmonics are ordered (0, sigma, -sigma), and
+    its ``bessel_factors``: the spin-keep vector is F1 e1 + i F2 e2 and the
+    spin-flip vector is (G1 e1 + i G2 e2) e^{i sigma phi_k}."""
     f, g = table
     # table positions of nu = 0, +1, -1
     pos = (0, 1, 2) if sigma == 1 else (0, 2, 1)
@@ -132,15 +125,15 @@ class HarmonicVectors:
 
 
 def harmonic_vectors(kin: EmissionKinematics, beam: ElectronBeam,
-                     laser: LaserField, sigma):
+                     laser: LaserField, sigma, phi_k=0.0):
     """Assemble the Cartesian spin-keep and spin-flip emission vectors on
-    the transverse basis at phi_k; the flip vector carries the extra
-    azimuthal phase e^{i sigma phi_k}."""
-    f1, f2, g1, g2 = harmonic_components(kin, beam, laser, sigma,
-                                         bessel_factors(kin))
-    basis = polarization_basis(kin.theta, kin.phi_k)
+    the transverse basis at azimuth phi_k; the flip vector carries the
+    extra azimuthal phase e^{i sigma phi_k}."""
+    f1, f2, g1, g2 = table_components(fg_coefficients(kin, beam, laser, sigma),
+                                      sigma, bessel_factors(kin))
+    basis = polarization_basis(kin.theta, phi_k)
     e1, e2 = basis.e1, basis.e2
-    phase = complex(math.cos(sigma * kin.phi_k), math.sin(sigma * kin.phi_k))
+    phase = complex(math.cos(sigma * phi_k), math.sin(sigma * phi_k))
     # "+ 0.0" makes each zero component +0.0, which fixes the signs of the
     # zeros that channel_polarization prints after its phase rotation
     return HarmonicVectors(

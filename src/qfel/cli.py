@@ -14,7 +14,6 @@ import argparse
 import functools
 import hashlib
 import math
-import os
 import sys
 import time
 
@@ -95,18 +94,20 @@ def parse_config(path=None, overrides=()):
     """
     config = {key: entry[1] for key, entry in _SCHEMA.items()}
     if path:
-        if not os.path.exists(path):
-            raise ConfigError(f"configuration file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith(("#", ";")):
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected 'section.key = value'")
-                key, _, raw = stripped.partition("=")
-                _assign(config, key.strip(), raw.strip())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = list(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read configuration file {path}: {exc}")
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith(("#", ";")):
+                continue
+            if "=" not in stripped:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected 'section.key = value'")
+            key, _, raw = stripped.partition("=")
+            _assign(config, key.strip(), raw.strip())
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
@@ -398,18 +399,21 @@ def main(argv=None):
         # output check, never in a numpy warning
         with np.errstate(all="ignore"):
             text = _COMMANDS[args.command](config)
+        out_path = args.out or config["output.path"]
+        if out_path:
+            try:
+                with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write the output file: {exc}")
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"qfel: config error: {exc}", file=sys.stderr)
         return 2
     except QfelError as exc:
         print(f"qfel: error: {exc}", file=sys.stderr)
         return 3
-    out_path = args.out or config["output.path"]
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     elapsed = time.perf_counter() - start
     print(f"# qfel {args.command}: wall time {elapsed:.3f} s", file=sys.stderr)
     return 0

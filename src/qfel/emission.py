@@ -2,8 +2,10 @@
 
 Cross sections follow the convention of the source framework: the
 differential cross section of a piece of the background wave of one
-Compton volume, in Compton-wavelength-squared units per steradian.
-Stimulated emission enters as the (N_occ + 1) factor.
+Compton volume, in Compton-wavelength-squared units per steradian,
+into an empty photon mode.  Stimulated emission enters through the
+balance equation of ``tube``, whose gain coefficient is the forward
+value of ``averaged_cross_section``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import numpy as np
 
 from . import physcore
 from .amplitudes import (bessel_factors, channel_polarization, fg_coefficients,
-                         harmonic_components, harmonic_vectors,
-                         table_components)
+                         harmonic_vectors, table_components)
 from .beamfield import ElectronBeam, LaserField
 from .errors import DomainError, NumericError
 from .kinematics import EmissionKinematics, solve_final_state
@@ -28,74 +29,24 @@ _BLOCK_ELEMENTS = 2048                  # (harmonic, angle) elements per block
 
 @dataclass(frozen=True)
 class CrossSectionPoint:
-    theta: float                # or an array of angles
+    """``averaged_cross_section`` at a float angle, or arrays over angles."""
     harmonic: int               # highest harmonic included, per angle
     value: float                # [Compton wavelength^2 / sr]
-    channel: str
-    n_occ: int = 0
 
 
 def _channel_prefactor(kin: EmissionKinematics, beam: ElectronBeam,
-                       laser: LaserField, n_occ):
+                       laser: LaserField):
     if beam.pz == 0.0:
         raise DomainError("the cross section per unit flux is undefined for a "
                           "beam at rest")
     alpha = physcore.FINE_STRUCTURE
-    return (alpha * kin.k_prime * kin.k_prime * (n_occ + 1)
+    return (alpha * kin.k_prime * kin.k_prime
             / (8.0 * math.pi * kin.harmonic * laser.k * abs(beam.pz)
                * beam.e_minus_pz * (beam.energy + 1.0) * (kin.e_prime + 1.0)))
 
 
-def _project(selector, components, sigma, sigma_prime):
-    """Squared projection of the open channel vector, a1 e1 + i a2 e2 up to
-    a phase, on a basis polarization (1 or 2) or a coefficient pair."""
-    a1, a2 = components[:2] if sigma_prime == sigma else components[2:]
-    if isinstance(selector, int):
-        if selector not in (1, 2):
-            raise DomainError(f"basis polarization index must be 1 or 2, got {selector}")
-        amp = a1 if selector == 1 else a2
-        return amp * amp
-    sel = np.asarray(selector, dtype=complex)
-    if sel.shape != (2,):
-        raise DomainError(f"unsupported polarization selector {selector!r}")
-    if abs(float(np.sum(np.abs(sel) ** 2)) - 1.0) > 1e-9:
-        raise DomainError("polarization coefficients must satisfy |c1|^2+|c2|^2=1")
-    return np.abs(np.conj(sel[0]) * a1 + 1j * np.conj(sel[1]) * a2) ** 2
-
-
-def diff_cross_section(kin: EmissionKinematics, beam: ElectronBeam,
-                       laser: LaserField, sigma, sigma_prime, selector,
-                       n_occ=0):
-    """Differential cross section of one harmonic channel for a definite
-    polarization (basis index 1/2 or coefficient pair)."""
-    if sigma_prime not in (sigma, -sigma):
-        raise DomainError(f"sigma_prime must be +1 or -1, got {sigma_prime!r}")
-    parts = harmonic_components(kin, beam, laser, sigma, bessel_factors(kin))
-    value = _channel_prefactor(kin, beam, laser, n_occ) * _project(
-        selector, parts, sigma, sigma_prime)
-    channel = "polarized" if not isinstance(selector, int) else f"basis-{selector}"
-    return CrossSectionPoint(theta=kin.theta, harmonic=kin.harmonic,
-                             value=value, channel=channel, n_occ=n_occ)
-
-
-def transition_rate_density(kin: EmissionKinematics, beam: ElectronBeam,
-                            laser: LaserField, sigma, sigma_prime, i, n_occ=0):
-    """Transition probability per unit time, volume, and solid angle for one
-    basis polarization in one harmonic channel."""
-    if i not in (1, 2):
-        raise DomainError(f"basis polarization index must be 1 or 2, got {i}")
-    parts = harmonic_components(kin, beam, laser, sigma, bessel_factors(kin))
-    amp2 = _project(i, parts, sigma, sigma_prime)
-    alpha = physcore.FINE_STRUCTURE
-    e, ep = beam.energy, kin.e_prime
-    pref = (alpha * kin.k_prime / (2.0 * math.pi) ** 3
-            * (n_occ + 1) / (4.0 * e * ep * (e + 1.0) * (ep + 1.0))
-            * ep * kin.k_prime / (kin.harmonic * laser.k * beam.e_minus_pz))
-    return pref * amp2
-
-
 def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
-                           n_occ=0, harmonic_max=DEFAULT_HARMONIC_MAX):
+                           harmonic_max=DEFAULT_HARMONIC_MAX):
     """Spin-averaged, polarization-summed differential cross section at one
     angle or a 1-D array of angles: (1/2) sum over basis polarizations and
     both spin labels, summed over harmonics 1..harmonic_max.  An angle stops
@@ -139,7 +90,7 @@ def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
                 kin = solve_final_state(thetas[live],
                                         harmonics[:1 + np.argmin(in_series)],
                                         beam, laser)
-            pref = _channel_prefactor(kin, beam, laser, n_occ)
+            pref = _channel_prefactor(kin, beam, laser)
             bessel = bessel_factors(kin)
             # one table for both spins: sigma = -1 only negates F2 and G1
             table = fg_coefficients(kin, beam, laser, 1)
@@ -163,9 +114,8 @@ def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
         raise NumericError(f"the cross section at theta={float(thetas[bad][0])} "
                            "is not finite")
     if np.ndim(theta) == 0:
-        thetas, used, total = theta, int(used[0]), float(total[0])
-    return CrossSectionPoint(theta=thetas, harmonic=used, value=total,
-                             channel="spin-averaged", n_occ=n_occ)
+        used, total = int(used[0]), float(total[0])
+    return CrossSectionPoint(harmonic=used, value=total)
 
 
 @dataclass(frozen=True)
@@ -180,7 +130,7 @@ class AngularSpectrum:
 
 
 def angular_spectrum(beam: ElectronBeam, laser: LaserField, theta_grid,
-                     n_occ=0, harmonic_max=DEFAULT_HARMONIC_MAX):
+                     harmonic_max=DEFAULT_HARMONIC_MAX):
     """Averaged cross section, first-harmonic photon energy, and the
     polarization of the beam-spin keep channel (sigma' = sigma = beam.spin)
     over an ordered theta grid: one averaged_cross_section call for the
@@ -188,7 +138,7 @@ def angular_spectrum(beam: ElectronBeam, laser: LaserField, theta_grid,
     thetas = np.asarray(theta_grid, dtype=float)
     if thetas.ndim != 1 or thetas.size < 1:
         raise DomainError("theta grid must be a non-empty 1-D array")
-    avg = averaged_cross_section(thetas, beam, laser, n_occ=n_occ,
+    avg = averaged_cross_section(thetas, beam, laser,
                                  harmonic_max=harmonic_max).value
     first = solve_final_state(thetas, 1, beam, laser)
     sigma = beam.spin

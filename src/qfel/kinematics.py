@@ -73,11 +73,9 @@ class EmissionKinematics:
     e_plus_pz_prime: float      # E' + p'_z
     radius: float               # R of the initial electron
     radius_prime: float         # R' of the final electron
-    phi_k: float = 0.0
 
 
-def solve_final_state(theta, harmonic, beam: ElectronBeam, laser: LaserField,
-                      phi_k=0.0):
+def solve_final_state(theta, harmonic, beam: ElectronBeam, laser: LaserField):
     """Final state of the quasi-momentum/energy selection rules.
 
     With E' - p'_z = (E - p_z) - k'(1 - cos theta) and the self-consistent
@@ -107,7 +105,7 @@ def solve_final_state(theta, harmonic, beam: ElectronBeam, laser: LaserField,
         e_prime=0.5 * (s + d), pz_prime=0.5 * (s - d),
         p_perp_prime=pp, e_minus_pz_prime=d, e_plus_pz_prime=s,
         radius=wiggling_radius(beam, laser),
-        radius_prime=laser.ea / (laser.k * d), phi_k=phi_k)
+        radius_prime=laser.ea / (laser.k * d))
 
 
 def wavelength_shift(theta, beam: ElectronBeam, radiation: LaserField):

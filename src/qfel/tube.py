@@ -75,7 +75,7 @@ class TubeProfile:
 def gain_coefficient(beam: ElectronBeam, laser: LaserField):
     """Gain coefficient a (forward spin-averaged cross section per occupation
     quantum) and the gain length lambda_c / a in meters."""
-    a = averaged_cross_section(math.pi, beam, laser, n_occ=0).value
+    a = averaged_cross_section(math.pi, beam, laser).value
     if a <= 0.0:
         raise NumericError("forward cross section vanished; no gain")
     return a, physcore.COMPTON_WAVELENGTH_M / a

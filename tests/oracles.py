@@ -2,8 +2,9 @@
 integrator, the right-hand side of the seeded balance equation and the
 unseeded closed form written exactly as quoted; for the zero-amplitude
 limit of the cross section the Klein-Nishina formula (rest-frame formula
-plus exact boost); for the blocked harmonic sum the same sum taken one
-harmonic at a time."""
+plus exact boost); for the flux factor the prefactor of the transition
+rate; for the blocked harmonic sum the same sum taken one harmonic at a
+time."""
 
 import math
 
@@ -101,9 +102,19 @@ def klein_nishina_reference(theta, beam: ElectronBeam, k):
     return klein_nishina_rest(k_rest, cos_rest) * jac
 
 
+def transition_rate_prefactor(kin, beam: ElectronBeam, laser: LaserField):
+    """The factor that turns the squared amplitude of one channel into the
+    transition probability per unit time, volume and solid angle, written
+    independently of the cross section's ``_channel_prefactor``."""
+    alpha = physcore.FINE_STRUCTURE
+    e, ep = beam.energy, kin.e_prime
+    return (alpha * kin.k_prime / (2.0 * math.pi) ** 3
+            / (4.0 * e * ep * (e + 1.0) * (ep + 1.0))
+            * ep * kin.k_prime / (kin.harmonic * laser.k * beam.e_minus_pz))
+
+
 def averaged_cross_section_per_harmonic(thetas, beam: ElectronBeam,
-                                        laser: LaserField, n_occ=0,
-                                        harmonic_max=8):
+                                        laser: LaserField, harmonic_max=8):
     """(value, harmonic) arrays of ``averaged_cross_section`` over a 1-D
     theta array, summed one harmonic at a time: each harmonic is solved,
     given its Bessel factors and its coefficient table for the angles
@@ -115,7 +126,7 @@ def averaged_cross_section_per_harmonic(thetas, beam: ElectronBeam,
     with np.errstate(all="ignore"):
         for n in range(1, harmonic_max + 1):
             kin = solve_final_state(thetas[live], n, beam, laser)
-            pref = _channel_prefactor(kin, beam, laser, n_occ)
+            pref = _channel_prefactor(kin, beam, laser)
             bessel = bessel_factors(kin)
             table = fg_coefficients(kin, beam, laser, 1)
             term = 0.0

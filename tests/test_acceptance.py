@@ -114,8 +114,8 @@ def test_criterion_05_angular_distribution():
                            BEAM, LASER, 1)
     azim = 0.0
     for phi in (0.8, 2.4, 5.5):
-        vecs = harmonic_vectors(solve_final_state(theta, 1, BEAM, LASER,
-                                                  phi_k=phi), BEAM, LASER, 1)
+        vecs = harmonic_vectors(solve_final_state(theta, 1, BEAM, LASER),
+                                BEAM, LASER, 1, phi_k=phi)
         azim = max(azim,
                    abs(np.linalg.norm(vecs.script_f) / ref.f_mag - 1.0),
                    abs(np.linalg.norm(vecs.script_g) / ref.g_mag - 1.0))

@@ -194,6 +194,23 @@ class TestExitCodes:
         # a zero-amplitude laser has no critical density or gain
         assert main(["limits", "--set", "laser.intensity_w_m2=0"]) == 3
 
+    @pytest.mark.parametrize("option", [["--out", "{}"],
+                                        ["--set", "output.path={}"]])
+    def test_unwritable_output_is_2(self, option, tmp_path, capsys):
+        target = tmp_path / "no_such_dir" / "x.csv"
+        assert main(["limits"] + [a.format(target) for a in option]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_directory_as_config_is_2(self, tmp_path, capsys):
+        assert main(["limits", "--config", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_undecodable_config_is_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"beam.spin = 1\n\xff\n")
+        assert main(["limits", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 def _override_values(key):
     """Raw --set strings for one key: in and out of its range, malformed."""
@@ -399,11 +416,13 @@ class TestDeterminism:
         assert first == second == third
 
     def test_console_entry_point(self, tmp_path):
-        # the installed script must agree with the in-process call
+        # the installed script must agree with the in-process call; the
+        # child imports qfel from where this process does
         out = tmp_path / "sub.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "qfel.cli", "limits", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0
         _, direct = run_cli(["limits"], tmp_path)
         assert out.read_text() == direct
