@@ -135,7 +135,7 @@ def harmonic_vectors(kin: EmissionKinematics, beam: ElectronBeam,
     e1, e2 = basis.e1, basis.e2
     phase = complex(math.cos(sigma * phi_k), math.sin(sigma * phi_k))
     # "+ 0.0" makes each zero component +0.0, which fixes the signs of the
-    # zeros that channel_polarization prints after its phase rotation
+    # zeros that outgoing_polarization prints after its phase rotation
     return HarmonicVectors(
         script_f=_complex(f1[..., None] * e1 + 0.0, f2[..., None] * e2 + 0.0),
         script_g=_complex(g1[..., None] * e1, g2[..., None] * e2) * phase,
@@ -151,18 +151,14 @@ def _complex(re, im):
 
 def outgoing_polarization(kin: EmissionKinematics, beam: ElectronBeam,
                           laser: LaserField, sigma, sigma_prime):
-    """Unit polarization vector of the photon emitted in the given channel."""
-    vecs = harmonic_vectors(kin, beam, laser, sigma)
-    return channel_polarization(vecs, sigma, sigma_prime)
-
-
-def channel_polarization(vecs: HarmonicVectors, sigma, sigma_prime):
-    """Unit vector along the open channel's vector of ``harmonic_vectors(...,
-    sigma)``: the keep vector when sigma_prime == sigma, else the flip vector.
+    """Unit polarization vector of the photon emitted in the given channel:
+    along the spin-keep vector of ``harmonic_vectors(..., sigma)`` when
+    sigma_prime == sigma, else along its spin-flip vector.
 
     The global phase is fixed by rotating the largest-magnitude component
     to the positive real axis, making comparisons deterministic.
     """
+    vecs = harmonic_vectors(kin, beam, laser, sigma)
     if sigma_prime == sigma:
         v, mag = vecs.script_f, vecs.f_mag
     elif sigma_prime == -sigma:

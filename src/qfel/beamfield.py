@@ -55,14 +55,6 @@ class LaserField:
                 f"a {self.wavelength_nm} nm, {self.intensity_w_m2} W/m^2 wave has "
                 "a photon energy or amplitude outside the floating-point range")
 
-    def photon_density_compton(self):
-        """Photon number per Compton volume of the coherent wave.
-
-        Equals k * (eA)^2 / (4 pi alpha); used to bridge the per-volume
-        cross section to a per-photon one.
-        """
-        return self.k * self.ea * self.ea / (4.0 * math.pi * physcore.FINE_STRUCTURE)
-
 
 @dataclass(frozen=True)
 class ElectronBeam:

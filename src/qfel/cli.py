@@ -26,8 +26,7 @@ from .emission import angular_spectrum
 from .errors import ConfigError, DomainError, QfelError
 from .kinematics import (coherence_probe, coherent_intensity_from_shift,
                          emitted_photon_energy, wiggling_radius)
-from .tube import (density_si_to_compton, gain_coefficient, run_cyclic,
-                   run_multi_section)
+from .tube import density_si_to_compton, gain_coefficient, run_multi_section
 
 _DIRECTIONS = (HEAD_ON, CO_PROPAGATING)
 
@@ -286,17 +285,10 @@ def cmd_tube(config):
     """Tube population profile plus headline densities and intensities."""
     laser = _laser(config)
     beam = _beam(config, laser=laser)
-    length = config["tube.section_length_m"]
-    sections = config["tube.sections"]
-    cycles = config["tube.cycles"]
-    seed_m3 = config["tube.seed_density_m3"]
-    if cycles > 1:
-        result = run_cyclic(beam, laser, length, sections, cycles,
-                            config["tube.reflection_efficiency"],
-                            seed_m3=seed_m3)
-    else:
-        result = run_multi_section(beam, laser, length, sections,
-                                   seed_m3=seed_m3)
+    result = run_multi_section(
+        beam, laser, config["tube.section_length_m"], config["tube.sections"],
+        seed_m3=config["tube.seed_density_m3"], cycles=config["tube.cycles"],
+        efficiency=config["tube.reflection_efficiency"])
     lines = _header("tube", config) + _headlines(
         ("forward photon energy [MeV]", result.photon_energy_mev),
         ("gain coefficient a", result.gain),

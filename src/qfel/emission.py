@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physcore
-from .amplitudes import (bessel_factors, channel_polarization, fg_coefficients,
-                         harmonic_vectors, table_components)
+from .amplitudes import (bessel_factors, fg_coefficients,
+                         outgoing_polarization, table_components)
 from .beamfield import ElectronBeam, LaserField
 from .errors import DomainError, NumericError
 from .kinematics import EmissionKinematics, solve_final_state
@@ -142,7 +142,6 @@ def angular_spectrum(beam: ElectronBeam, laser: LaserField, theta_grid,
                                  harmonic_max=harmonic_max).value
     first = solve_final_state(thetas, 1, beam, laser)
     sigma = beam.spin
-    pol = channel_polarization(harmonic_vectors(first, beam, laser, sigma),
-                               sigma, sigma)
+    pol = outgoing_polarization(first, beam, laser, sigma, sigma)
     return AngularSpectrum(thetas=thetas, k_prime=first.k_prime, averaged=avg,
                            polarization_x=pol[:, 0], polarization_y=pol[:, 1])

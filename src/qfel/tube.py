@@ -14,12 +14,16 @@ Caveat carried through every report: realistic beam densities of order
 converts nearly every electron, while the source estimates apply a
 one-half conversion rule derived from the dense regime.  Both numbers
 are reported; headline intensities use the one-half rule.
+
+``run_multi_section`` is the one tube runner: a chain of pumped sections,
+repeated per cycle of a cyclic intensifier whose reflectors feed a
+fraction of the output back as the next cycle's seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,36 +160,52 @@ _UNIT_TENSION_NOTE = (
     "exact solution converts a fraction {frac:.3f} of the electrons")
 
 
-def _forward(beam: ElectronBeam, laser: LaserField, sections):
-    """Checked inputs of a section chain: the gain coefficient, the gain
-    length and the forward photon energy [MeV]."""
+def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
+                      sections, seed_m3=0.0, cycles=1, efficiency=1.0):
+    """Chain seeded sections with fresh electrons injected (and spent ones
+    removed) at every boundary; photons carry over.  A cyclic intensifier
+    runs the chain ``cycles`` times: seed_m3 enters the first cycle, and
+    each later cycle starts from the previous output scaled by the
+    reflection ``efficiency`` (1 gives one long chain, 0 a single pass).
+
+    Returns both the exact chained photon density and the headline
+    one-half-per-section estimate of the last cycle, flagging the unit
+    tension between them.
+    """
     if sections < 1:
         raise DomainError(f"section count must be >= 1, got {sections}")
+    if cycles < 1:
+        raise DomainError(f"cycle count must be >= 1, got {cycles}")
+    if not 0.0 <= efficiency <= 1.0:
+        raise DomainError("reflection efficiency must lie in [0, 1]")
     if beam.density_m3 <= 0.0:
         raise DomainError("multi-section run requires a positive beam density")
     a, gain_length = gain_coefficient(beam, laser)
-    kin = solve_final_state(math.pi, 1, beam, laser)
-    return a, gain_length, physcore.from_natural_energy(kin.k_prime)
-
-
-def _chain(beam, forward, section_length_m, sections, seed_m3, samples):
-    """One linear chain of sections for the ``_forward`` of the beam."""
-    a, gain_length, kp_mev = forward
+    kp_mev = physcore.from_natural_energy(
+        solve_final_state(math.pi, 1, beam, laser).k_prime)
     n0_si = beam.density_m3
     n0 = density_si_to_compton(n0_si)
-    seed = density_si_to_compton(seed_m3)
-    profiles = []
-    for _ in range(sections):
-        cfg = TubeConfig(length_m=section_length_m, gain=a, n0=n0, seed=seed)
-        prof = evolve_seeded(cfg, samples=samples)
-        profiles.append(prof)
-        seed = float(prof.photon[-1])
-    exact_si = density_compton_to_si(seed)
-    headline_si = density_compton_to_si(density_si_to_compton(seed_m3)) \
-        + 0.5 * n0_si * sections
-    converted = float(profiles[0].photon[-1] - density_si_to_compton(seed_m3))
-    frac = converted / n0 if n0 > 0 else 0.0
-    notes = (_UNIT_TENSION_NOTE.format(frac=frac),)
+    for _ in range(cycles):
+        seed = first_seed = density_si_to_compton(seed_m3)
+        profiles = []
+        for _ in range(sections):
+            cfg = TubeConfig(length_m=section_length_m, gain=a, n0=n0,
+                             seed=seed)
+            prof = evolve_seeded(cfg)
+            profiles.append(prof)
+            seed = float(prof.photon[-1])
+        exact_si = density_compton_to_si(seed)
+        seed_m3 = exact_si * efficiency
+    headline_si = density_compton_to_si(first_seed) + 0.5 * n0_si * sections
+    converted = float(profiles[0].photon[-1] - first_seed)
+    notes = [_UNIT_TENSION_NOTE.format(frac=converted / n0 if n0 > 0 else 0.0)]
+    if cycles > 1:
+        lam_nm = physcore.wavelength_from_photon_energy(kp_mev * 1e6)
+        if not SOFT_GAMMA_MIN_NM <= lam_nm <= SOFT_GAMMA_MAX_NM:
+            notes.append(
+                f"emitted wavelength {lam_nm:.4g} nm is outside the "
+                "Bragg-reflectable soft-gamma band (0.05-1 nm); the cyclic "
+                "geometry is not realizable at this energy")
     return MultiSectionResult(
         profiles=profiles,
         photon_density_m3=exact_si,
@@ -193,47 +213,4 @@ def _chain(beam, forward, section_length_m, sections, seed_m3, samples):
         intensity_w_m2=output_intensity(exact_si, kp_mev),
         headline_intensity_w_m2=output_intensity(headline_si, kp_mev),
         photon_energy_mev=kp_mev, gain=a, gain_length_m=gain_length,
-        warnings=notes)
-
-
-def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
-                      sections, seed_m3=0.0, samples=200):
-    """Chain seeded sections with fresh electrons injected (and spent ones
-    removed) at every boundary; photons carry over.
-
-    Returns both the exact chained photon density and the headline
-    one-half-per-section estimate, flagging the unit tension between them.
-    """
-    return _chain(beam, _forward(beam, laser, sections), section_length_m,
-                  sections, seed_m3, samples)
-
-
-def run_cyclic(beam: ElectronBeam, laser: LaserField, section_length_m,
-               sections_per_cycle, cycles, efficiency, seed_m3=0.0,
-               samples=200):
-    """Cyclic intensifier: a linear chain per cycle, with the photon density
-    scaled by the reflection efficiency between cycles.  seed_m3 is the
-    photon density entering the first cycle.
-
-    With efficiency 1 this equals one long chain; with efficiency 0 every
-    cycle starts cold, so the output is a single pass.
-    """
-    if cycles < 1:
-        raise DomainError(f"cycle count must be >= 1, got {cycles}")
-    if not 0.0 <= efficiency <= 1.0:
-        raise DomainError("reflection efficiency must lie in [0, 1]")
-    forward = _forward(beam, laser, sections_per_cycle)
-    notes = []
-    for c in range(cycles):
-        result = _chain(beam, forward, section_length_m, sections_per_cycle,
-                        seed_m3, samples)
-        if c < cycles - 1:
-            seed_m3 = result.photon_density_m3 * efficiency
-    lam_nm = physcore.wavelength_from_photon_energy(
-        result.photon_energy_mev * 1e6)
-    if not SOFT_GAMMA_MIN_NM <= lam_nm <= SOFT_GAMMA_MAX_NM:
-        notes.append(
-            f"emitted wavelength {lam_nm:.4g} nm is outside the "
-            "Bragg-reflectable soft-gamma band (0.05-1 nm); the cyclic "
-            "geometry is not realizable at this energy")
-    return replace(result, warnings=result.warnings + tuple(notes))
+        warnings=tuple(notes))

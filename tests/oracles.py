@@ -2,7 +2,8 @@
 integrator, the right-hand side of the seeded balance equation and the
 unseeded closed form written exactly as quoted; for the zero-amplitude
 limit of the cross section the Klein-Nishina formula (rest-frame formula
-plus exact boost); for the flux factor the prefactor of the transition
+plus exact boost) and the photon content of the laser wave; for the flux
+factor the prefactor of the transition
 rate; for the blocked harmonic sum the same sum taken one harmonic at a
 time."""
 
@@ -83,6 +84,14 @@ def klein_nishina_rest(k_in, cos_theta):
     sin2 = 1.0 - cos_theta * cos_theta
     return 0.5 * physcore.FINE_STRUCTURE**2 * ratio**2 * (
         ratio + 1.0 / ratio - sin2)
+
+
+def photon_density_compton(laser: LaserField):
+    """Photon number per Compton volume of the coherent wave, k (eA)^2 /
+    (4 pi alpha): the bridge from the per-volume cross section to the
+    per-photon Klein-Nishina one."""
+    return laser.k * laser.ea * laser.ea / (4.0 * math.pi
+                                            * physcore.FINE_STRUCTURE)
 
 
 def klein_nishina_reference(theta, beam: ElectronBeam, k):

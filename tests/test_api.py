@@ -14,13 +14,13 @@ def test_public_names():
         "LaserField", "MultiSectionResult", "NumericError",
         "PolarizationBasis", "QfelError", "TubeConfig", "TubeProfile",
         "amplitudes", "angular_spectrum", "averaged_cross_section",
-        "beamfield", "channel_polarization", "coherence_amplitude",
+        "beamfield", "coherence_amplitude",
         "coherence_probe", "coherent_intensity_from_shift", "compton_energy",
         "critical_density", "emission", "emitted_photon_energy", "errors",
         "evolve_seeded", "fg_coefficients", "gain_coefficient",
         "harmonic_vectors", "kinematics", "make_beam", "outgoing_polarization",
         "output_intensity", "physcore", "polarization_basis",
-        "run_cyclic", "run_multi_section", "solve_final_state", "tube",
+        "run_multi_section", "solve_final_state", "tube",
         "wavelength_shift", "wiggling_radius"]
 
 

@@ -49,16 +49,6 @@ class TestLaserField:
         assert laser.ea == pytest.approx(
             coherence_amplitude(785.0, 1e19), rel=1e-14)
 
-    def test_photon_density_identity(self):
-        # k eA^2 / (4 pi alpha) must equal the photon count of a wave of
-        # intensity I in one Compton volume, computed independently in SI
-        laser = LaserField(785.0, 1e19)
-        energy_j = (physcore.photon_energy_from_wavelength(785.0)
-                    * physcore.ELEMENTARY_CHARGE)
-        n_si = laser.intensity_w_m2 / (physcore.SPEED_OF_LIGHT * energy_j)
-        want = n_si * physcore.COMPTON_WAVELENGTH_M**3
-        assert laser.photon_density_compton() == pytest.approx(want, rel=1e-10)
-
     def test_out_of_float_range_rejected(self):
         # k overflows, k underflows to 0, eA^2 overflows
         for wavelength_nm, intensity in ((1e-310, 1e19), (1e300, 0.0),

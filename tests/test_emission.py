@@ -11,7 +11,7 @@ import qfel.emission
 from qfel import physcore
 from oracles import (averaged_cross_section_per_harmonic,
                      klein_nishina_reference, klein_nishina_rest,
-                     transition_rate_prefactor)
+                     photon_density_compton, transition_rate_prefactor)
 from qfel.beamfield import LaserField, make_beam
 from qfel.amplitudes import outgoing_polarization
 from qfel.emission import (_channel_prefactor, angular_spectrum,
@@ -204,12 +204,22 @@ class TestKleinNishinaOracle:
         want = 0.5 * alpha ** 2 * (kp / k) ** 2 * (kp / k + k / kp)
         assert klein_nishina_rest(k, -1.0) == pytest.approx(want, rel=1e-12)
 
+    def test_photon_density_identity(self):
+        # k eA^2 / (4 pi alpha) must equal the photon count of a wave of
+        # intensity I in one Compton volume, computed independently in SI
+        laser = LaserField(785.0, 1e19)
+        energy_j = (physcore.photon_energy_from_wavelength(785.0)
+                    * physcore.ELEMENTARY_CHARGE)
+        n_si = laser.intensity_w_m2 / (physcore.SPEED_OF_LIGHT * energy_j)
+        want = n_si * physcore.COMPTON_WAVELENGTH_M**3
+        assert photon_density_compton(laser) == pytest.approx(want, rel=1e-10)
+
     def test_low_intensity_ratio_flat_in_theta(self):
         # at weak fields the averaged cross section is the Klein-Nishina
         # value per photon times the photon content of the Compton volume,
         # up to a constant normalization; the ratio must not depend on theta
         weak = LaserField(785.0, 1e16)
-        n_gamma = weak.photon_density_compton()
+        n_gamma = photon_density_compton(weak)
         ratios = []
         for frac in (0.3, 0.6, 0.9, 0.999, 1.0):
             theta = frac * math.pi
@@ -226,7 +236,7 @@ class TestKleinNishinaOracle:
             field = LaserField(785.0, intensity)
             avg = averaged_cross_section(theta, BEAM, field).value
             kn = klein_nishina_reference(theta, BEAM, field.k)
-            vals.append(avg / (field.photon_density_compton() * kn))
+            vals.append(avg / (photon_density_compton(field) * kn))
         assert vals[0] == pytest.approx(vals[1], rel=0.02)
 
 

@@ -13,7 +13,7 @@ from qfel.errors import DomainError
 from oracles import balance_rhs, evolve_analytic, integrate_ode
 from qfel.tube import (TubeConfig, density_compton_to_si,
                        density_si_to_compton, evolve_seeded,
-                       gain_coefficient, output_intensity, run_cyclic,
+                       gain_coefficient, output_intensity,
                        run_multi_section)
 
 LASER = LaserField(785.0, 1e19)
@@ -169,19 +169,22 @@ class TestMultiSection:
 class TestCyclic:
     def test_zero_efficiency_is_single_pass(self):
         linear = run_multi_section(BEAM, LASER, 0.01, 5)
-        cyclic = run_cyclic(BEAM, LASER, 0.01, 5, 4, 0.0)
+        cyclic = run_multi_section(BEAM, LASER, 0.01, 5, cycles=4,
+                                   efficiency=0.0)
         assert cyclic.photon_density_m3 == pytest.approx(
             linear.photon_density_m3, rel=1e-12)
 
     def test_full_efficiency_is_long_chain(self):
         chain = run_multi_section(BEAM, LASER, 0.01, 6)
-        cyclic = run_cyclic(BEAM, LASER, 0.01, 2, 3, 1.0)
+        cyclic = run_multi_section(BEAM, LASER, 0.01, 2, cycles=3,
+                                   efficiency=1.0)
         assert cyclic.photon_density_m3 == pytest.approx(
             chain.photon_density_m3, rel=1e-10)
 
     def test_seed_enters_first_cycle(self):
         chain = run_multi_section(BEAM, LASER, 0.01, 4, seed_m3=1e17)
-        cyclic = run_cyclic(BEAM, LASER, 0.01, 2, 2, 1.0, seed_m3=1e17)
+        cyclic = run_multi_section(BEAM, LASER, 0.01, 2, seed_m3=1e17,
+                                   cycles=2, efficiency=1.0)
         assert cyclic.photon_density_m3 == pytest.approx(
             chain.photon_density_m3, rel=1e-12)
 
@@ -193,16 +196,28 @@ class TestCyclic:
             return gain_coefficient(beam, laser)
 
         monkeypatch.setattr(qfel.tube, "gain_coefficient", counted)
-        run_cyclic(BEAM, LASER, 0.01, 2, 3, 0.5)
+        run_multi_section(BEAM, LASER, 0.01, 2, cycles=3, efficiency=0.5)
         assert len(calls) == 1
 
     def test_band_warning_for_hard_gamma(self):
         # 2.26 MeV photons are far below the Bragg-reflectable wavelength
-        result = run_cyclic(BEAM, LASER, 0.01, 2, 2, 0.5)
+        result = run_multi_section(BEAM, LASER, 0.01, 2, cycles=2,
+                                   efficiency=0.5)
         assert any("Bragg" in w for w in result.warnings)
+
+    def test_band_note_only_for_cyclic_runs(self):
+        # a linear chain has no reflectors, so the default 307 MeV run
+        # carries the unit-tension note alone
+        linear = run_multi_section(BEAM, LASER, 0.01, 2)
+        cyclic = run_multi_section(BEAM, LASER, 0.01, 2, cycles=2)
+        assert len(linear.warnings) == 1
+        assert "tension" in linear.warnings[0]
+        assert "tension" in cyclic.warnings[0]
+        assert len(cyclic.warnings) == 2
+        assert "Bragg" in cyclic.warnings[1]
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            run_cyclic(BEAM, LASER, 0.01, 2, 0, 0.5)
+            run_multi_section(BEAM, LASER, 0.01, 2, cycles=0, efficiency=0.5)
         with pytest.raises(DomainError):
-            run_cyclic(BEAM, LASER, 0.01, 2, 2, 1.5)
+            run_multi_section(BEAM, LASER, 0.01, 2, cycles=2, efficiency=1.5)
