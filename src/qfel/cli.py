@@ -126,8 +126,8 @@ def _fmt(x):
 # its 12-digit integer mantissa m and decimal exponent e as five
 # little-endian 32-bit words of lookup tables: [sign d0 '.' d1]
 # [d2..d5] [d6..d9] [d10 d11 'e' exponent-sign] [e2 e1 e0 separator].  A
-# 0 byte marks the absent sign and the absent third exponent digit, and
-# is dropped at the end.
+# 0 byte marks the absent sign and the absent third exponent digit (and
+# pads a row prefix), and is dropped at the end.
 def _words(shape, *columns):
     """uint32 table over an index grid of the given shape whose four
     little-endian bytes are the columns, each broadcast against the grid."""
@@ -154,6 +154,7 @@ _NEWLINE = (ord(",") ^ ord("\n")) << 24        # turns a ',' into a newline
 _POW10 = np.array([float(f"1e{k}") for k in range(-300, 308)])   # [k + 300]
 _DECIDED = (1e-290, 1e290)      # |x| range the scaling decides
 _TIE_WINDOW = 1e-3              # nearer .5 than this, '%.11e' decides
+_BLOCK_CELLS = 6144             # cells per kernel pass; bounds its memory
 
 
 def _mantissas(a):
@@ -191,24 +192,42 @@ def _mantissas(a):
 
 def _rows(columns, prefix=""):
     """The CSV rows of equal-length numeric columns, joined by newlines,
-    with every cell exactly as ``_fmt`` ('%.11e') writes it."""
+    with every cell exactly as ``_fmt`` ('%.11e') writes it.  ``prefix``
+    leads every row: one string, or an ``S`` array with one entry per row
+    (its zero padding is dropped).  The kernel formats the rows in passes
+    of at most ``_BLOCK_CELLS`` cells, which bounds its temporaries."""
     table = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
     if not np.isfinite(table).all():
         raise DomainError("a CSV cell is outside the floating-point range")
+    head = np.asarray(prefix, dtype="S").reshape(-1)
+    head = head.view(np.uint8).reshape(len(head), head.itemsize)
+    step = max(1, _BLOCK_CELLS // table.shape[1])
+    text = b"".join(
+        _format(table[start:start + step],
+                head[start:start + step] if len(head) > 1 else head)
+        for start in range(0, len(table), step))
+    return str(memoryview(text)[:-1], "ascii")
+
+
+def _format(table, head):
+    """The bytes of the rows of a finite table, each led by its row of
+    ``head`` (or by the one row ``head`` has) and ended by a newline, with
+    0 bytes dropped."""
     m, e = _mantissas(np.abs(table))
-    words = np.empty(table.shape + (5,), dtype="<u4")
-    words[..., 0] = _LEAD[m // 10**10 + 100 * np.signbit(table)]
-    words[..., 1] = _QUAD[m // 10**6 % 10**4]
-    words[..., 2] = _QUAD[m // 100 % 10**4]
-    words[..., 3] = _TAIL[m % 100 + 100 * (e < 0)]
-    words[..., 4] = _EXP[np.abs(e)]
-    words[:, -1, 4] ^= _NEWLINE
-    text = words.view(np.uint8).reshape(len(table), 20 * table.shape[1])
-    if prefix:
-        head = np.broadcast_to(_chars(prefix), (len(table), len(prefix)))
-        text = np.concatenate([head, text], axis=1)
-    text = text.ravel()
-    return text[text != 0][:-1].tobytes().decode("ascii")
+    rows, cols = table.shape
+    lead = -(-head.shape[1] // 4)           # words that hold the prefix
+    words = np.empty((rows, lead + 5 * cols), dtype="<u4")
+    words[:, :lead] = 0
+    words[:, :lead].view(np.uint8)[:, :head.shape[1]] = head
+    cells = words[:, lead:].reshape(rows, cols, 5)
+    cells[..., 0] = _LEAD[m // 10**10 + 100 * np.signbit(table)]
+    cells[..., 1] = _QUAD[m // 10**6 % 10**4]
+    cells[..., 2] = _QUAD[m // 100 % 10**4]
+    cells[..., 3] = _TAIL[m % 100 + 100 * (e < 0)]
+    cells[..., 4] = _EXP[np.abs(e)]
+    cells[:, -1, 4] ^= _NEWLINE
+    text = words.view(np.uint8).ravel()
+    return text[text != 0].tobytes()
 
 
 def _headlines(*items):
@@ -294,7 +313,7 @@ def cmd_tube(config):
         ("gain coefficient a", result.gain),
         ("gain length lambda_c/a [m]", result.gain_length_m),
         ("asymptotic photon density [per Compton volume]",
-         result.profiles[0].asymptote),
+         result.profile.asymptote[0]),
         ("photon density, exact chain [1/m^3]", result.photon_density_m3),
         ("photon density, one-half rule [1/m^3]",
          result.headline_photon_density_m3),
@@ -305,10 +324,14 @@ def cmd_tube(config):
         lines.append(f"# warning: {note}")
     lines.append("# columns: section,l_m,n_compton,n_prime_compton,"
                  "photon_compton,n_m3,photon_m3")
+    prof = result.profile
+    sections, samples = prof.n.shape
+    labels = np.array([f"{s}," for s in range(1, sections + 1)], dtype="S")
+    n, photon = prof.n.ravel(), prof.photon.ravel()
     vol = density_si_to_compton(1.0)
-    for s, prof in enumerate(result.profiles, start=1):
-        lines.append(_rows((prof.l_m, prof.n, prof.n_prime, prof.photon,
-                            prof.n / vol, prof.photon / vol), prefix=f"{s},"))
+    lines.append(_rows((np.tile(prof.l_m, sections), n, prof.n_prime.ravel(),
+                        photon, n / vol, photon / vol),
+                       prefix=np.repeat(labels, samples)))
     return "\n".join(lines) + "\n"
 
 

@@ -17,13 +17,17 @@ are reported; headline intensities use the one-half rule.
 
 ``run_multi_section`` is the one tube runner: a chain of pumped sections,
 repeated per cycle of a cyclic intensifier whose reflectors feed a
-fraction of the output back as the next cycle's seed.
+fraction of the output back as the next cycle's seed.  One closed form,
+``_densities``, serves both the chain, which steps one float (the photon
+density at a section's end) per section and cycle, and the sampled
+profiles, which ``evolve_seeded`` builds for the last cycle only, as one
+(sections, samples) block over the column of its section seeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +53,8 @@ def density_compton_to_si(n_c):
 
 @dataclass(frozen=True)
 class TubeConfig:
-    """One tube section in dimensionless (Compton-volume) densities."""
+    """One tube section in dimensionless (Compton-volume) densities; the
+    seed may be a 1-D array, one section per seed."""
 
     length_m: float
     gain: float                  # a, dimensionless
@@ -57,17 +62,24 @@ class TubeConfig:
     seed: float = 0.0            # photon density entering the section
 
     def __post_init__(self):
-        if self.length_m < 0.0:
-            raise DomainError(f"tube length must be >= 0, got {self.length_m}")
-        if self.gain <= 0.0:
-            raise DomainError(f"gain coefficient must be > 0, got {self.gain}")
-        if self.n0 < 0.0 or self.seed < 0.0:
-            raise DomainError("densities must be >= 0")
+        # written so that NaN fails every bound
+        seed = np.asarray(self.seed, dtype=float)
+        for name, inside in (
+                ("length_m", 0.0 <= self.length_m < math.inf),
+                ("gain", 0.0 < self.gain < math.inf),
+                ("n0", 0.0 <= self.n0 < math.inf),
+                ("seed", ((seed >= 0.0) & (seed < math.inf)).all())):
+            if not inside:
+                bound = "> 0" if name == "gain" else ">= 0"
+                raise DomainError(f"{name} must be finite and {bound}, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class TubeProfile:
-    """Sampled (l, n, n', N) profile along one section plus its asymptote."""
+    """Sampled (l, n, n', N) profile along one section plus its asymptote;
+    n, n', N and the asymptote gain a leading axis of sections when the
+    profile holds one row per seed."""
 
     l_m: np.ndarray
     n: np.ndarray
@@ -87,50 +99,67 @@ def gain_coefficient(beam: ElectronBeam, laser: LaserField):
 
 def _quadratic_roots(n0, seed):
     """Roots of the RHS quadratic 2n^2 - b n + c and the root distance
-    d = sqrt(b^2 - 8c); the discriminant is provably positive for physical
-    inputs.  It is scaled by b^2, which overflows for dense beams, and
-    the lower root is taken from the root product c/2, since (b - d)/4
+    d = sqrt(b^2 - 8c).  The discriminant is scaled by b^2, which
+    overflows for dense beams; b^2 - 8c = (2 seed + n0)^2 + 4 seed + 6 n0
+    + 1 keeps the scaled value above 1/9 for non-negative densities.  The
+    lower root is taken from the root product c/2, since (b - d)/4
     cancels when c << b^2."""
     b = 2.0 * seed + 3.0 * n0 + 1.0
     ratio = (n0 + seed) / b
-    scaled = 1.0 - 8.0 * (n0 / b) * ratio
-    if scaled <= 0.0:
-        raise NumericError(
-            f"non-positive discriminant {scaled} b^2 for n0={n0}, "
-            f"seed={seed}; cannot happen for non-negative densities")
-    root = math.sqrt(scaled)
+    root = np.sqrt(1.0 - 8.0 * (n0 / b) * ratio)
     d = b * root
     return 2.0 * n0 * ratio / (1.0 + root), (b + d) / 4.0, d
 
 
-def evolve_seeded(config: TubeConfig, samples=200):
-    """Closed-form solution of the seeded balance equation over one section."""
-    n0, seed = config.n0, config.seed
-    ls = np.linspace(0.0, config.length_m, max(int(samples), 2))
+def _where(condition, x, y):
+    """np.where on arrays; on the floats of the section chain, where
+    np.where would cost more than the rest of the closed form, a plain
+    conditional."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, x, y)
+    return x if condition else y
+
+
+def _densities(n0, seed, gain, l):
+    """Closed form of the seeded balance equation: (n, n', N) at distance
+    l into a section entered by photon density seed, and the photon
+    density as l -> infinity.  seed and l are floats or arrays that
+    broadcast against each other; the caller sets the numpy error state."""
     if n0 == 0.0:
-        flat = np.zeros_like(ls)
-        return TubeProfile(l_m=ls, n=flat.copy(), n_prime=flat.copy(),
-                           photon=np.full_like(ls, seed), asymptote=seed)
+        flat = np.zeros(np.broadcast_shapes(np.shape(seed), np.shape(l)))
+        photon = np.broadcast_to(seed, flat.shape).copy()
+        return flat, flat.copy(), photon, seed
     lo, hi, d = _quadratic_roots(n0, seed)
     # u = (n - lo)/(n - hi) decays exponentially with rate a d / lambda_c.
     # Above ~1e16 per Compton volume n0 and hi agree to float resolution;
     # then n0 - hi = (q - d)/4 with q = n0 - 2 seed - 1 > 0 comes from
     # (q - d)(q + d) = -8 n0 (seed + 1) instead
     below = n0 - hi
-    if below == 0.0:
-        below = -2.0 * n0 * (seed + 1.0) / (n0 - 2.0 * seed - 1.0 + d)
+    below = _where(below == 0.0, -2.0 * n0 * (seed + 1.0)
+                   / (n0 - 2.0 * seed - 1.0 + d), below)
     u0 = (n0 - lo) / below
-    rate = config.gain * d / physcore.COMPTON_WAVELENGTH_M
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        u = u0 * np.exp(-rate * ls)
-        n = (lo - hi * u) / (1.0 - u)
+    rate = gain * d / physcore.COMPTON_WAVELENGTH_M
+    u = u0 * np.exp(-rate * l)
+    n = (lo - hi * u) / (1.0 - u)
     # hi stays below 1e272, so hi u overflows only for |u| > 1e36, where n
     # is hi to float resolution
-    n = np.where(np.isfinite(n), n, hi)
+    n = _where(abs(n) < math.inf, n, hi)
     n_prime = n0 - n
-    photon = seed + n_prime
+    return n, n_prime, seed + n_prime, seed + n0 - lo
+
+
+def evolve_seeded(config: TubeConfig, samples=200):
+    """Closed-form solution of the seeded balance equation over one section,
+    with one profile row per seed when ``config.seed`` is an array."""
+    ls = np.linspace(0.0, config.length_m, max(int(samples), 2))
+    rows = np.ndim(config.seed) == 1
+    seed = np.asarray(config.seed, dtype=float)[:, None] if rows \
+        else config.seed
+    with np.errstate(all="ignore"):
+        n, n_prime, photon, asymptote = _densities(config.n0, seed,
+                                                   config.gain, ls)
     return TubeProfile(l_m=ls, n=n, n_prime=n_prime, photon=photon,
-                       asymptote=seed + n0 - lo)
+                       asymptote=asymptote[:, 0] if rows else asymptote)
 
 
 def output_intensity(photon_density_m3, photon_energy_mev):
@@ -143,7 +172,7 @@ def output_intensity(photon_density_m3, photon_energy_mev):
 
 @dataclass(frozen=True)
 class MultiSectionResult:
-    profiles: list
+    profile: TubeProfile              # last cycle, one row per section
     photon_density_m3: float          # exact chained photon density, SI
     headline_photon_density_m3: float  # one-half-per-section estimate, SI
     intensity_w_m2: float             # from the exact density
@@ -168,9 +197,11 @@ def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
     each later cycle starts from the previous output scaled by the
     reflection ``efficiency`` (1 gives one long chain, 0 a single pass).
 
-    Returns both the exact chained photon density and the headline
-    one-half-per-section estimate of the last cycle, flagging the unit
-    tension between them.
+    The chain carries one float per section, the photon density at the
+    section's end; only the last cycle's profiles are sampled, as one
+    block with a row per section.  Returns both the exact chained photon
+    density and the headline one-half-per-section estimate of the last
+    cycle, flagging the unit tension between them.
     """
     if sections < 1:
         raise DomainError(f"section count must be >= 1, got {sections}")
@@ -178,26 +209,31 @@ def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
         raise DomainError(f"cycle count must be >= 1, got {cycles}")
     if not 0.0 <= efficiency <= 1.0:
         raise DomainError("reflection efficiency must lie in [0, 1]")
-    if beam.density_m3 <= 0.0:
+    if not beam.density_m3 > 0.0:
         raise DomainError("multi-section run requires a positive beam density")
     a, gain_length = gain_coefficient(beam, laser)
     kp_mev = physcore.from_natural_energy(
         solve_final_state(math.pi, 1, beam, laser).k_prime)
     n0_si = beam.density_m3
     n0 = density_si_to_compton(n0_si)
-    for _ in range(cycles):
-        seed = first_seed = density_si_to_compton(seed_m3)
-        profiles = []
-        for _ in range(sections):
-            cfg = TubeConfig(length_m=section_length_m, gain=a, n0=n0,
-                             seed=seed)
-            prof = evolve_seeded(cfg)
-            profiles.append(prof)
-            seed = float(prof.photon[-1])
-        exact_si = density_compton_to_si(seed)
-        seed_m3 = exact_si * efficiency
+    section = TubeConfig(length_m=section_length_m, gain=a, n0=n0,
+                         seed=density_si_to_compton(seed_m3))
+    with np.errstate(all="ignore"):
+        for _ in range(cycles):
+            seed = first_seed = density_si_to_compton(seed_m3)
+            seeds = []
+            for _ in range(sections):
+                # the end value can round below zero in a zero-length section
+                if seed < 0.0:
+                    raise DomainError(
+                        f"seed must be finite and >= 0, got {seed}")
+                seeds.append(seed)
+                seed = float(_densities(n0, seed, a, section_length_m)[2])
+            exact_si = density_compton_to_si(seed)
+            seed_m3 = exact_si * efficiency
+    profile = evolve_seeded(replace(section, seed=np.array(seeds)))
     headline_si = density_compton_to_si(first_seed) + 0.5 * n0_si * sections
-    converted = float(profiles[0].photon[-1] - first_seed)
+    converted = float(profile.photon[0, -1] - first_seed)
     notes = [_UNIT_TENSION_NOTE.format(frac=converted / n0 if n0 > 0 else 0.0)]
     if cycles > 1:
         lam_nm = physcore.wavelength_from_photon_energy(kp_mev * 1e6)
@@ -207,7 +243,7 @@ def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
                 "Bragg-reflectable soft-gamma band (0.05-1 nm); the cyclic "
                 "geometry is not realizable at this energy")
     return MultiSectionResult(
-        profiles=profiles,
+        profile=profile,
         photon_density_m3=exact_si,
         headline_photon_density_m3=headline_si,
         intensity_w_m2=output_intensity(exact_si, kp_mev),

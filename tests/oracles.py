@@ -1,6 +1,7 @@
 """Test-only references: for the tube closed forms a fixed-step RK4
 integrator, the right-hand side of the seeded balance equation and the
-unseeded closed form written exactly as quoted; for the zero-amplitude
+unseeded closed form written exactly as quoted; for the tube runner the
+chain taken one sampled section profile at a time; for the zero-amplitude
 limit of the cross section the Klein-Nishina formula (rest-frame formula
 plus exact boost) and the photon content of the laser wave; for the flux
 factor the prefactor of the transition
@@ -17,7 +18,11 @@ from qfel.beamfield import ElectronBeam, LaserField
 from qfel.emission import _TRUNCATION_RTOL, _channel_prefactor
 from qfel.errors import DomainError, NumericError
 from qfel.kinematics import solve_final_state
-from qfel.tube import TubeConfig, TubeProfile
+from qfel.tube import (_UNIT_TENSION_NOTE, SOFT_GAMMA_MAX_NM,
+                       SOFT_GAMMA_MIN_NM, MultiSectionResult, TubeConfig,
+                       TubeProfile, density_compton_to_si,
+                       density_si_to_compton, evolve_seeded, gain_coefficient,
+                       output_intensity)
 
 
 def integrate_ode(rhs, y0, span, steps):
@@ -66,6 +71,56 @@ def evolve_analytic(config: TubeConfig, samples=200):
     photon = 2.0 * n0 * (1.0 - ex) / den
     return TubeProfile(l_m=ls, n=n, n_prime=n0 - n, photon=photon,
                        asymptote=2.0 * n0 / (q - n0 + 1.0))
+
+
+def run_multi_section_per_section(beam: ElectronBeam, laser: LaserField,
+                                  section_length_m, sections, seed_m3=0.0,
+                                  cycles=1, efficiency=1.0):
+    """``run_multi_section`` with one ``evolve_seeded`` call per section and
+    cycle: every section's sampled profile is built, and the photon
+    density at its last sample seeds the next section.  The last cycle's
+    profiles are stacked into one block."""
+    if sections < 1 or cycles < 1 or not 0.0 <= efficiency <= 1.0:
+        raise DomainError("invalid section count, cycle count or efficiency")
+    if not beam.density_m3 > 0.0:
+        raise DomainError("multi-section run requires a positive beam density")
+    a, gain_length = gain_coefficient(beam, laser)
+    kp_mev = physcore.from_natural_energy(
+        solve_final_state(math.pi, 1, beam, laser).k_prime)
+    n0_si = beam.density_m3
+    n0 = density_si_to_compton(n0_si)
+    for _ in range(cycles):
+        seed = first_seed = density_si_to_compton(seed_m3)
+        profiles = []
+        for _ in range(sections):
+            cfg = TubeConfig(length_m=section_length_m, gain=a, n0=n0,
+                             seed=seed)
+            prof = evolve_seeded(cfg)
+            profiles.append(prof)
+            seed = float(prof.photon[-1])
+        exact_si = density_compton_to_si(seed)
+        seed_m3 = exact_si * efficiency
+    headline_si = density_compton_to_si(first_seed) + 0.5 * n0_si * sections
+    converted = float(profiles[0].photon[-1] - first_seed)
+    notes = [_UNIT_TENSION_NOTE.format(frac=converted / n0 if n0 > 0 else 0.0)]
+    if cycles > 1:
+        lam_nm = physcore.wavelength_from_photon_energy(kp_mev * 1e6)
+        if not SOFT_GAMMA_MIN_NM <= lam_nm <= SOFT_GAMMA_MAX_NM:
+            notes.append(
+                f"emitted wavelength {lam_nm:.4g} nm is outside the "
+                "Bragg-reflectable soft-gamma band (0.05-1 nm); the cyclic "
+                "geometry is not realizable at this energy")
+    block = TubeProfile(
+        l_m=profiles[0].l_m,
+        **{field: np.array([getattr(p, field) for p in profiles])
+           for field in ("n", "n_prime", "photon", "asymptote")})
+    return MultiSectionResult(
+        profile=block, photon_density_m3=exact_si,
+        headline_photon_density_m3=headline_si,
+        intensity_w_m2=output_intensity(exact_si, kp_mev),
+        headline_intensity_w_m2=output_intensity(headline_si, kp_mev),
+        photon_energy_mev=kp_mev, gain=a, gain_length_m=gain_length,
+        warnings=tuple(notes))
 
 
 def balance_rhs(n, n0, seed, gain):

@@ -26,9 +26,15 @@ def test_public_names():
 
 def test_result_fields():
     fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
-              for cls in (qfel.CrossSectionPoint, qfel.EmissionKinematics)}
+              for cls in (qfel.CrossSectionPoint, qfel.EmissionKinematics,
+                          qfel.MultiSectionResult, qfel.TubeProfile)}
     assert fields == {
         "CrossSectionPoint": ["harmonic", "value"],
         "EmissionKinematics": ["theta", "harmonic", "k_prime", "e_prime",
                                "pz_prime", "p_perp_prime", "e_minus_pz_prime",
-                               "e_plus_pz_prime", "radius", "radius_prime"]}
+                               "e_plus_pz_prime", "radius", "radius_prime"],
+        "MultiSectionResult": ["profile", "photon_density_m3",
+                               "headline_photon_density_m3", "intensity_w_m2",
+                               "headline_intensity_w_m2", "photon_energy_mev",
+                               "gain", "gain_length_m", "warnings"],
+        "TubeProfile": ["l_m", "n", "n_prime", "photon", "asymptote"]}

@@ -14,12 +14,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import qfel.cli
+import qfel.tube
 from qfel.beamfield import LaserField, make_beam
 from qfel.cli import _SCHEMA, _parser, _rows, main, parse_config
 from qfel.errors import ConfigError, DomainError
 from qfel.tube import run_multi_section
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+# the tube golden file is a cyclic, seeded run of 1,200 rows
+GOLDEN_SETS = {"tube": ["--set", "tube.sections=6", "--set", "tube.cycles=3",
+                        "--set", "tube.seed_density_m3=1e16",
+                        "--set", "tube.reflection_efficiency=0.7"]}
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -130,8 +136,10 @@ class TestParser:
 
 
 def _percent_rows(table, prefix):
-    return "\n".join(prefix + ",".join("%.11e" % v for v in row)
-                     for row in table.tolist())
+    """'%.11e' rows, each led by prefix or by its entry of a prefix list."""
+    heads = prefix if isinstance(prefix, list) else [prefix] * len(table)
+    return "\n".join(head + ",".join("%.11e" % v for v in row)
+                     for head, row in zip(heads, table.tolist()))
 
 
 class TestCsvCells:
@@ -140,7 +148,10 @@ class TestCsvCells:
                                               st.integers(1, 7)),
                         elements=st.floats(allow_nan=False,
                                            allow_infinity=False)),
-           prefix=st.sampled_from(("", "3,", "100,")))
+           prefix=st.one_of(
+               st.sampled_from(("", "3,", "100,")),
+               st.lists(st.sampled_from(("", "3,", "100,", "12345,")),
+                        min_size=12, max_size=12)))
     @example(table=np.array([[0.0, -0.0, 5e-324, -5e-324,
                               1.7976931348623157e308,
                               -1.7976931348623157e308]]), prefix="")
@@ -160,12 +171,19 @@ class TestCsvCells:
              prefix="12,")
     def test_cells_equal_percent_format(self, table, prefix):
         # the array kernel writes every cell as '%.11e' does, signed zeros,
-        # exact decimal ties, the 10^12 carry and the fallback range included
-        assert _rows(table.T, prefix) == _percent_rows(table, prefix)
+        # exact decimal ties, the 10^12 carry and the fallback range
+        # included; a prefix list gives each row its own, zero-padded entry
+        if isinstance(prefix, list):
+            prefix = prefix[:len(table)]
+            assert _rows(table.T, np.array(prefix, dtype="S")) == \
+                _percent_rows(table, prefix)
+        else:
+            assert _rows(table.T, prefix) == _percent_rows(table, prefix)
 
     def test_many_cells_equal_percent_format(self):
         # random bit patterns cover every exponent; log-uniform magnitudes
-        # cover every decade
+        # cover every decade.  Tables of one pass less a row, one pass and
+        # one pass and a row meet the pass boundary.
         rng = np.random.default_rng(8)
         bits = rng.integers(0, 2**64, size=60000, dtype=np.uint64)
         values = bits.view(np.float64)
@@ -174,6 +192,12 @@ class TestCsvCells:
         for cells in (values, decades, -decades):
             table = cells[:cells.size // 6 * 6].reshape(-1, 6)
             assert _rows(table.T, "5,") == _percent_rows(table, "5,")
+        chunk = qfel.cli._BLOCK_CELLS // 6
+        for rows in (chunk - 1, chunk, chunk + 1):
+            table = decades[:6 * rows].reshape(rows, 6)
+            heads = [f"{i % 150}," for i in range(rows)]
+            assert _rows(table.T, np.array(heads, dtype="S")) == \
+                _percent_rows(table, heads)
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
     def test_non_finite_cell_is_domain_error(self, bad):
@@ -348,6 +372,33 @@ class TestTubeCommand:
         assert float(line.rsplit("=", 1)[1]) == pytest.approx(
             chain.photon_density_m3, rel=1e-10)
 
+    def test_one_block_and_chunked_kernel_passes(self, monkeypatch, tmp_path):
+        # the chain steps once per section and cycle on floats, the kept
+        # cycle is sampled as one block, and its 20,000 rows are written
+        # in passes of at most _BLOCK_CELLS cells
+        counts = {"_densities": 0, "evolve_seeded": 0, "_format": 0}
+
+        def counter(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((qfel.tube, "_densities"),
+                             (qfel.tube, "evolve_seeded"),
+                             (qfel.cli, "_format")):
+            counter(module, name)
+        code, text = run_cli(["tube", "--set", "tube.sections=100",
+                              "--set", "tube.cycles=3"], tmp_path)
+        monkeypatch.undo()
+        assert code == 0
+        assert len(data_rows(text)) == 20000
+        assert counts == {
+            "_densities": 100 * 3 + 1, "evolve_seeded": 1,
+            "_format": math.ceil(20000 / (qfel.cli._BLOCK_CELLS // 6))}
+
 
 class TestCoherenceCommand:
     def test_report_values(self, tmp_path):
@@ -397,10 +448,12 @@ class TestGoldenFiles:
         self.compare(os.path.join(GOLDEN_DIR, "fig2.csv"), text)
 
     @pytest.mark.parametrize("command, golden", (("kinematics", "fig1.csv"),
-                                                 ("angular", "fig2.csv")))
+                                                 ("angular", "fig2.csv"),
+                                                 ("tube", "tube.csv")))
     def test_bytes_equal_golden(self, command, golden, tmp_path):
         # the comparison above forgives the 12th digit; the files do not
-        assert main([command, "--out", str(tmp_path / "out.csv")]) == 0
+        argv = [command] + GOLDEN_SETS.get(command, [])
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
         with open(os.path.join(GOLDEN_DIR, golden), "rb") as fh:
             assert (tmp_path / "out.csv").read_bytes() == fh.read()
 

@@ -10,7 +10,8 @@ import qfel.tube
 from qfel import physcore
 from qfel.beamfield import LaserField, make_beam
 from qfel.errors import DomainError
-from oracles import balance_rhs, evolve_analytic, integrate_ode
+from oracles import (balance_rhs, evolve_analytic, integrate_ode,
+                     run_multi_section_per_section)
 from qfel.tube import (TubeConfig, density_compton_to_si,
                        density_si_to_compton, evolve_seeded,
                        gain_coefficient, output_intensity,
@@ -18,6 +19,11 @@ from qfel.tube import (TubeConfig, density_compton_to_si,
 
 LASER = LaserField(785.0, 1e19)
 BEAM = make_beam(307.0, density_m3=1e18)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestDensityUnits:
@@ -124,6 +130,34 @@ class TestClosedFormsVsRK4:
         with pytest.raises(DomainError):
             TubeConfig(length_m=1.0, gain=1e-6, n0=-1.0)
 
+    @pytest.mark.parametrize("field", ("length_m", "gain", "n0", "seed"))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_named(self, field, bad):
+        # NaN slips through a bare 'x < 0' check
+        values = dict(length_m=1.0, gain=1e-6, n0=1.0, seed=0.0)
+        values[field] = bad
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            TubeConfig(**values)
+
+    def test_seed_rows_validated(self):
+        for seeds in ([0.1, -1e-30], [0.1, math.nan]):
+            with pytest.raises(DomainError, match="^seed"):
+                TubeConfig(length_m=1.0, gain=1e-6, n0=1.0,
+                           seed=np.array(seeds))
+
+    @pytest.mark.parametrize("n0", (0.0, 1e-19, 3.7, 1e20, 1e120))
+    def test_seed_rows_equal_single_seed_calls(self, n0):
+        seeds = [0.0, 1e-21, 0.25, 1e17, 1e262]
+        block = evolve_seeded(TubeConfig(length_m=1e-6, gain=1.1e-6, n0=n0,
+                                         seed=np.array(seeds)), samples=17)
+        for row, seed in enumerate(seeds):
+            one = evolve_seeded(TubeConfig(length_m=1e-6, gain=1.1e-6,
+                                           n0=n0, seed=seed), samples=17)
+            assert same_bits(block.l_m, one.l_m)
+            for field in ("n", "n_prime", "photon", "asymptote"):
+                assert same_bits(getattr(block, field)[row],
+                                 getattr(one, field))
+
 
 class TestOutputIntensity:
     def test_single_section_anchor(self):
@@ -221,3 +255,69 @@ class TestCyclic:
             run_multi_section(BEAM, LASER, 0.01, 2, cycles=0, efficiency=0.5)
         with pytest.raises(DomainError):
             run_multi_section(BEAM, LASER, 0.01, 2, cycles=2, efficiency=1.5)
+
+
+class TestRunnerOracle:
+    """The runner chains end values on floats and samples the kept cycle as
+    one block; the oracle samples every section of every cycle."""
+
+    FIELDS = ("photon_density_m3", "headline_photon_density_m3",
+              "intensity_w_m2", "headline_intensity_w_m2",
+              "photon_energy_mev", "gain", "gain_length_m")
+
+    def assert_same_run(self, beam, length, sections, **kwargs):
+        try:
+            want = run_multi_section_per_section(beam, LASER, length,
+                                                 sections, **kwargs)
+        except DomainError:
+            with pytest.raises(DomainError):
+                run_multi_section(beam, LASER, length, sections, **kwargs)
+            return
+        got = run_multi_section(beam, LASER, length, sections, **kwargs)
+        for field in ("l_m", "n", "n_prime", "photon", "asymptote"):
+            assert same_bits(getattr(got.profile, field),
+                             getattr(want.profile, field)), field
+        for field in self.FIELDS:
+            assert same_bits(getattr(got, field), getattr(want, field)), field
+        assert got.warnings == want.warnings
+
+    @pytest.mark.parametrize("length", (0.0, 0.01, 1e5))
+    @pytest.mark.parametrize("density", (1e-300, 1e12, 1e18, 1e40, 1e60))
+    def test_bits_equal_per_section_chain(self, density, length):
+        # each (density, length) pair runs every section count, cycle
+        # count, seed and efficiency.  1e-300 m^-3 is zero per Compton
+        # volume.
+        beam = make_beam(307.0, density_m3=density)
+        for i in range(8):
+            self.assert_same_run(beam, length, (1, 7, 39, 100)[i % 4],
+                                 seed_m3=(0.0, 1e15, 1e300)[i % 3],
+                                 cycles=1 + (i + i // 4) % 4,
+                                 efficiency=(0.0, 0.3, 1.0)[i // 3])
+
+    def test_end_value_rounds_as_the_last_sample(self):
+        # over a few gain lengths the exponential at a section's end is
+        # neither 0 nor 1; math.exp differs there from numpy's exp in the
+        # last bit for some arguments, and the chain would then part from
+        # the sampled block
+        beam = make_beam(307.0, density_m3=1e32)
+        for length in np.geomspace(1e-9, 1e-7, 9).tolist():
+            self.assert_same_run(beam, length, 39)
+
+    def test_end_value_below_zero_raises_as_before(self):
+        # at zero length n(0) can round above n0, so the photon density
+        # leaving the first section is -6e-33 per Compton volume
+        beam = make_beam(307.0, density_m3=5.62e20)
+        with pytest.raises(DomainError):
+            run_multi_section_per_section(beam, LASER, 0.0, 2)
+        self.assert_same_run(beam, 0.0, 2)
+
+    @pytest.mark.parametrize("kwargs, field", (
+        (dict(section_length_m=math.nan), "length_m"),
+        (dict(section_length_m=math.inf), "length_m"),
+        (dict(seed_m3=math.nan), "seed"),
+        (dict(seed_m3=math.inf), "seed")))
+    def test_non_finite_inputs_named(self, kwargs, field):
+        args = dict(section_length_m=0.01, sections=2, seed_m3=0.0)
+        args.update(kwargs)
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            run_multi_section(BEAM, LASER, **args)
