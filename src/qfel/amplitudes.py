@@ -6,7 +6,9 @@ components: the spin-keep vector is F1 e1 + i F2 e2 and the spin-flip vector
 (G1 e1 + i G2 e2) e^{i sigma phi_k} on the transverse basis at phi_k; the
 sigma = -1 table negates F2 and G1 of the sigma = +1 one.  Cross sections
 need only the components; ``harmonic_vectors`` builds the Cartesian vectors,
-and the outgoing photon polarization is the unit vector along the open channel.
+and the outgoing photon polarization is the phase-fixed unit vector along
+the open channel, from ``harmonic_vectors`` in ``outgoing_polarization``
+and from the keep components of its harmonic sum in the angular sweep.
 """
 
 from __future__ import annotations
@@ -134,13 +136,20 @@ def harmonic_vectors(kin: EmissionKinematics, beam: ElectronBeam,
     basis = polarization_basis(kin.theta, phi_k)
     e1, e2 = basis.e1, basis.e2
     phase = complex(math.cos(sigma * phi_k), math.sin(sigma * phi_k))
-    # "+ 0.0" makes each zero component +0.0, which fixes the signs of the
-    # zeros that outgoing_polarization prints after its phase rotation
+    script_f, f_mag = _keep_vector(f1, f2, basis)
     return HarmonicVectors(
-        script_f=_complex(f1[..., None] * e1 + 0.0, f2[..., None] * e2 + 0.0),
+        script_f=script_f, f_mag=f_mag,
         script_g=_complex(g1[..., None] * e1, g2[..., None] * e2) * phase,
-        f_mag=np.sqrt(f1 * f1 + f2 * f2), g_mag=np.sqrt(g1 * g1 + g2 * g2),
-        basis=basis)
+        g_mag=np.sqrt(g1 * g1 + g2 * g2), basis=basis)
+
+
+def _keep_vector(f1, f2, basis: PolarizationBasis):
+    """The spin-keep vector F1 e1 + i F2 e2 and its magnitude.  "+ 0.0"
+    makes each zero component +0.0, which fixes the signs of the zeros
+    that a polarization prints after its phase rotation."""
+    return (_complex(f1[..., None] * basis.e1 + 0.0,
+                     f2[..., None] * basis.e2 + 0.0),
+            np.sqrt(f1 * f1 + f2 * f2))
 
 
 def _complex(re, im):
@@ -165,6 +174,12 @@ def outgoing_polarization(kin: EmissionKinematics, beam: ElectronBeam,
         v, mag = vecs.script_g, vecs.g_mag
     else:
         raise DomainError(f"sigma_prime must be +1 or -1, got {sigma_prime!r}")
+    return _unit_polarization(v, mag)
+
+
+def _unit_polarization(v, mag):
+    """The channel vector v of magnitude mag as a unit vector whose
+    largest-magnitude component lies on the positive real axis."""
     if np.any(mag <= 0.0):
         raise ClosedChannelError(
             "polarization is undefined: the requested spin channel has zero amplitude")

@@ -6,23 +6,27 @@ limit of the cross section the Klein-Nishina formula (rest-frame formula
 plus exact boost) and the photon content of the laser wave; for the flux
 factor the prefactor of the transition
 rate; for the blocked harmonic sum the same sum taken one harmonic at a
-time."""
+time; for the angular sweep the sweep that evaluates harmonic 1 a second
+time beside the sum."""
 
 import math
 
 import numpy as np
 
 from qfel import physcore
-from qfel.amplitudes import bessel_factors, fg_coefficients, table_components
+from qfel.amplitudes import (bessel_factors, fg_coefficients,
+                             outgoing_polarization, table_components)
 from qfel.beamfield import ElectronBeam, LaserField
-from qfel.emission import _TRUNCATION_RTOL, _channel_prefactor
+from qfel.emission import (_TRUNCATION_RTOL, DEFAULT_HARMONIC_MAX,
+                           AngularSpectrum, _channel_prefactor,
+                           averaged_cross_section)
 from qfel.errors import DomainError, NumericError
 from qfel.kinematics import solve_final_state
-from qfel.tube import (_UNIT_TENSION_NOTE, SOFT_GAMMA_MAX_NM,
-                       SOFT_GAMMA_MIN_NM, MultiSectionResult, TubeConfig,
-                       TubeProfile, density_compton_to_si,
-                       density_si_to_compton, evolve_seeded, gain_coefficient,
-                       output_intensity)
+from qfel.tube import (_END_ROUNDING_ULPS, _UNIT_TENSION_NOTE,
+                       SOFT_GAMMA_MAX_NM, SOFT_GAMMA_MIN_NM,
+                       MultiSectionResult, TubeConfig, TubeProfile,
+                       density_compton_to_si, density_si_to_compton,
+                       evolve_seeded, gain_coefficient, output_intensity)
 
 
 def integrate_ode(rhs, y0, span, steps):
@@ -78,7 +82,8 @@ def run_multi_section_per_section(beam: ElectronBeam, laser: LaserField,
                                   cycles=1, efficiency=1.0):
     """``run_multi_section`` with one ``evolve_seeded`` call per section and
     cycle: every section's sampled profile is built, and the photon
-    density at its last sample seeds the next section.  The last cycle's
+    density at its last sample, set to 0.0 when it rounds below zero,
+    seeds the next section.  The last cycle's
     profiles are stacked into one block."""
     if sections < 1 or cycles < 1 or not 0.0 <= efficiency <= 1.0:
         raise DomainError("invalid section count, cycle count or efficiency")
@@ -98,6 +103,9 @@ def run_multi_section_per_section(beam: ElectronBeam, laser: LaserField,
             prof = evolve_seeded(cfg)
             profiles.append(prof)
             seed = float(prof.photon[-1])
+            # the runner's rule for an end value that rounds below zero
+            if -_END_ROUNDING_ULPS * math.ulp(n0) <= seed < 0.0:
+                seed = 0.0
         exact_si = density_compton_to_si(seed)
         seed_m3 = exact_si * efficiency
     headline_si = density_compton_to_si(first_seed) + 0.5 * n0_si * sections
@@ -206,3 +214,20 @@ def averaged_cross_section_per_harmonic(thetas, beam: ElectronBeam,
     if not np.isfinite(total).all():
         raise NumericError("the cross section is not finite")
     return total, used
+
+
+def angular_spectrum_two_pass(beam: ElectronBeam, laser: LaserField,
+                              theta_grid, harmonic_max=DEFAULT_HARMONIC_MAX):
+    """``angular_spectrum`` with harmonic 1 evaluated a second time: one
+    ``averaged_cross_section`` call for the grid, then its own harmonic-1
+    solve and the keep-channel ``outgoing_polarization``."""
+    thetas = np.asarray(theta_grid, dtype=float)
+    if thetas.ndim != 1 or thetas.size < 1:
+        raise DomainError("theta grid must be a non-empty 1-D array")
+    avg = averaged_cross_section(thetas, beam, laser,
+                                 harmonic_max=harmonic_max).value
+    first = solve_final_state(thetas, 1, beam, laser)
+    sigma = beam.spin
+    pol = outgoing_polarization(first, beam, laser, sigma, sigma)
+    return AngularSpectrum(thetas=thetas, k_prime=first.k_prime, averaged=avg,
+                           polarization_x=pol[:, 0], polarization_y=pol[:, 1])

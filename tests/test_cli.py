@@ -348,6 +348,13 @@ class TestAngularCommand:
         assert last[6] == pytest.approx(-inv_sqrt2, abs=1e-9)
 
 
+    def test_zero_amplitude_has_no_polarization(self, capsys):
+        assert main(["angular", "--set", "laser.intensity_w_m2=0"]) == 3
+        assert capsys.readouterr().err == (
+            "qfel: error: polarization is undefined: the requested spin "
+            "channel has zero amplitude\n")
+
+
 class TestTubeCommand:
     def test_headlines_present(self, tmp_path):
         code, text = run_cli(["tube"], tmp_path)
@@ -361,6 +368,16 @@ class TestTubeCommand:
         for row in data_rows(text):
             cells = parse_cells(row.split(",", 1)[1])
             assert cells[3] == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_length_rounding_below_zero_chains_as_zero(self, tmp_path):
+        # n(0) rounds above n0 at this density, so the first section ends
+        # at -6e-33 per Compton volume; the chain carries 0.0 on
+        code, text = run_cli(["tube", "--set", "beam.density_m3=5.62e20",
+                              "--set", "tube.section_length_m=0",
+                              "--set", "tube.sections=2"], tmp_path)
+        assert code == 0
+        line = next(l for l in text.splitlines() if "exact chain [1/m^3]" in l)
+        assert float(line.rsplit("=", 1)[1]) == 0.0
 
     def test_cyclic_run_takes_the_seed(self, tmp_path):
         _, text = run_cli(["tube", "--set", "tube.cycles=2",

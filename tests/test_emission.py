@@ -9,14 +9,16 @@ import pytest
 import qfel.amplitudes
 import qfel.emission
 from qfel import physcore
-from oracles import (averaged_cross_section_per_harmonic,
+from oracles import (angular_spectrum_two_pass,
+                     averaged_cross_section_per_harmonic,
                      klein_nishina_reference, klein_nishina_rest,
                      photon_density_compton, transition_rate_prefactor)
 from qfel.beamfield import LaserField, make_beam
 from qfel.amplitudes import outgoing_polarization
 from qfel.emission import (_channel_prefactor, angular_spectrum,
                            averaged_cross_section)
-from qfel.errors import DomainError, NumericError, QfelError
+from qfel.errors import (ClosedChannelError, DomainError, NumericError,
+                         QfelError)
 from qfel.kinematics import solve_final_state
 
 LASER = LaserField(785.0, 1e19)
@@ -100,29 +102,29 @@ class TestAngularSpectrum:
     @pytest.mark.parametrize("intensity", [1e19, 1e24])
     def test_scalar_calls_are_views_of_the_sweep(self, monkeypatch,
                                                  intensity):
-        # the sweep sums its grid in one array call; the scalar calls run
-        # the same code on one element, so every angle agrees bitwise
+        # the sweep sums its grid in one call of the blocked sum; the
+        # scalar calls run the same code on one element, so every angle
+        # agrees bitwise
         laser = LaserField(785.0, intensity)
         thetas = np.linspace(0.0, math.pi, 41)
         calls = []
-        averaged = qfel.emission.averaged_cross_section
+        harmonic_sum = qfel.emission._harmonic_sum
 
         def recording(*args, **kwargs):
-            calls.append(averaged(*args, **kwargs))
+            calls.append(harmonic_sum(*args, **kwargs))
             return calls[-1]
 
-        monkeypatch.setattr(qfel.emission, "averaged_cross_section",
-                            recording)
+        monkeypatch.setattr(qfel.emission, "_harmonic_sum", recording)
         spectrum = angular_spectrum(BEAM, laser, thetas)
         monkeypatch.undo()
         assert len(calls) == 1
-        sweep = calls[0]
-        np.testing.assert_array_equal(sweep.value, spectrum.averaged)
-        assert np.unique(sweep.harmonic).size > 1
+        value, used, _ = calls[0]
+        np.testing.assert_array_equal(value, spectrum.averaged)
+        assert np.unique(used).size > 1
         for j, theta in enumerate(thetas.tolist()):
             point = averaged_cross_section(theta, BEAM, laser)
-            np.testing.assert_array_equal(point.value, sweep.value[j])
-            assert point.harmonic == sweep.harmonic[j]
+            np.testing.assert_array_equal(point.value, value[j])
+            assert point.harmonic == used[j]
             kin = solve_final_state(theta, 1, BEAM, laser)
             np.testing.assert_array_equal(kin.k_prime, spectrum.k_prime[j])
             pol = outgoing_polarization(kin, BEAM, laser, 1, 1)
@@ -135,13 +137,15 @@ class TestAngularSpectrum:
     def test_one_bessel_pass_and_one_table_per_block(self, monkeypatch,
                                                      intensity, points):
         # each block of harmonics makes one solve, one stacked Bessel call
-        # and one coefficient table for both spins; the harmonic-1
-        # polarization makes one more of each.  No Bessel argument here
-        # exceeds 9, so every block has the height of the budget rule.
+        # and one coefficient table for both spins; the harmonic-1 k' and
+        # polarization come from the first block, with no call of their
+        # own.  No Bessel argument here exceeds 9, so every block has the
+        # height of the budget rule.
         laser = LaserField(785.0, intensity)
         thetas = np.linspace(0.0, math.pi, points)
         counts = {"bessel_jn": 0, "fg_coefficients": 0}
         blocks = []                     # (first harmonic, height, angles)
+        scalar = []                     # harmonics of non-block solves
         solve = qfel.emission.solve_final_state
 
         def counter(fn):
@@ -154,6 +158,8 @@ class TestAngularSpectrum:
             if np.ndim(harmonic) == 2:
                 blocks.append((int(harmonic[0, 0]), len(harmonic),
                                np.size(theta)))
+            else:
+                scalar.append(harmonic)
             return solve(theta, harmonic, *args)
 
         for module, name in ((qfel.amplitudes, "bessel_jn"),
@@ -163,8 +169,9 @@ class TestAngularSpectrum:
         monkeypatch.setattr(qfel.emission, "solve_final_state", recording)
         angular_spectrum(BEAM, laser, thetas)
         monkeypatch.undo()
-        assert counts == {"bessel_jn": len(blocks) + 1,
-                          "fg_coefficients": len(blocks) + 1}
+        assert counts == {"bessel_jn": len(blocks),
+                          "fg_coefficients": len(blocks)}
+        assert scalar == []
         cap = qfel.emission.DEFAULT_HARMONIC_MAX
         first = 1
         for n, height, live in blocks:
@@ -184,6 +191,49 @@ class TestAngularSpectrum:
             angular_spectrum(BEAM, LASER, np.array([[0.1]]))
         with pytest.raises(DomainError):
             angular_spectrum(BEAM, LASER, np.array([4.0]))
+
+
+class TestSweepOracle:
+    """The sweep against ``oracles.angular_spectrum_two_pass``, which
+    evaluates harmonic 1 again beside the sum: equal bits in all four
+    columns, or the same exception type and message."""
+
+    # cap 60 at 3000 angles is left out: 2048 // 3000 gives a first block
+    # of harmonic 1 alone, as at cap 8, while the 0.6 MeV beams' Bessel
+    # arguments above 9 take the scalar Miller recurrence there, about
+    # 20 s per side at 1e24 and 1e25 W/m^2 (and more at 1e28)
+    @pytest.mark.parametrize("intensity,cap,points", [
+        (intensity, cap, points)
+        for intensity in (0.0, 1e19, 1e24, 1e25, 1e28)
+        for cap in (1, 8, 60) for points in (1, 41, 150, 3000)
+        if (cap, points) != (60, 3000)])
+    def test_bits_equal_two_pass(self, intensity, cap, points):
+        laser = LaserField(785.0, intensity)
+        thetas = (np.array([0.97 * math.pi]) if points == 1
+                  else np.linspace(0.0, math.pi, points))
+        for energy in (0.6, 307.0):
+            for direction in ("head_on", "co_propagating"):
+                for spin in (1, -1):
+                    beam = make_beam(energy, direction=direction, spin=spin)
+                    results = []
+                    for fn in (angular_spectrum, angular_spectrum_two_pass):
+                        try:
+                            results.append(fn(beam, laser, thetas,
+                                              harmonic_max=cap))
+                        except QfelError as exc:
+                            results.append((type(exc), str(exc)))
+                    got, want = results
+                    if intensity == 0.0:
+                        assert isinstance(want, tuple)
+                        assert want[0] is ClosedChannelError
+                    if isinstance(want, tuple):
+                        assert got == want
+                        continue
+                    for field in ("k_prime", "averaged", "polarization_x",
+                                  "polarization_y"):
+                        a, b = getattr(got, field), getattr(want, field)
+                        assert a.dtype == b.dtype
+                        assert a.tobytes() == b.tobytes(), field
 
 
 class TestKleinNishinaOracle:

@@ -303,13 +303,38 @@ class TestRunnerOracle:
         for length in np.geomspace(1e-9, 1e-7, 9).tolist():
             self.assert_same_run(beam, length, 39)
 
-    def test_end_value_below_zero_raises_as_before(self):
+    def test_end_value_rounding_below_zero_chains_as_zero(self):
         # at zero length n(0) can round above n0, so the photon density
-        # leaving the first section is -6e-33 per Compton volume
+        # leaving a section is -6e-33 per Compton volume (2 ulp(n0)); the
+        # chain carries 0.0 on
         beam = make_beam(307.0, density_m3=5.62e20)
-        with pytest.raises(DomainError):
-            run_multi_section_per_section(beam, LASER, 0.0, 2)
-        self.assert_same_run(beam, 0.0, 2)
+        for cycles in (1, 2):
+            result = run_multi_section(beam, LASER, 0.0, 2, cycles=cycles)
+            assert result.profile.photon[0, -1] < 0.0
+            assert result.photon_density_m3 == 0.0
+            assert result.intensity_w_m2 == 0.0
+            self.assert_same_run(beam, 0.0, 2, cycles=cycles)
+
+    @pytest.mark.parametrize("ulps", (4, 5, math.nan, math.inf))
+    def test_end_value_past_rounding_raises(self, monkeypatch, ulps):
+        # the chain takes 4 ulp(n0) below zero for rounding; a lower or
+        # NaN end value is an error
+        densities = qfel.tube._densities
+
+        def shifted(n0, seed, gain, l):
+            n, n_prime, photon, asymptote = densities(n0, seed, gain, l)
+            if np.ndim(l) == 0:         # a step of the chain
+                photon = -ulps * math.ulp(n0)
+            return n, n_prime, photon, asymptote
+
+        monkeypatch.setattr(qfel.tube, "_densities", shifted)
+        if ulps == 4:
+            result = run_multi_section(BEAM, LASER, 0.01, 2)
+            assert result.photon_density_m3 == 0.0
+        else:
+            with pytest.raises(DomainError,
+                               match="^seed must be finite and >= 0"):
+                run_multi_section(BEAM, LASER, 0.01, 2)
 
     @pytest.mark.parametrize("kwargs, field", (
         (dict(section_length_m=math.nan), "length_m"),
