@@ -21,7 +21,10 @@ fraction of the output back as the next cycle's seed.  One closed form,
 ``_densities``, serves both the chain, which steps one float (the photon
 density at a section's end) per section and cycle, and the sampled
 profiles, which ``evolve_seeded`` builds for the last cycle only, as one
-(sections, samples) block over the column of its section seeds.
+(sections, samples) block over the column of its section seeds.  The
+closed form adds and divides non-negative terms only, so the photons a
+section adds, n0 - n, are never negative and never cancel: a section ends
+at or above its seed, exactly at it for zero length.
 """
 
 from __future__ import annotations
@@ -64,15 +67,18 @@ class TubeConfig:
     def __post_init__(self):
         # written so that NaN fails every bound
         seed = np.asarray(self.seed, dtype=float)
+        bad_seed = ~((seed >= 0.0) & (seed < math.inf))
         for name, inside in (
                 ("length_m", 0.0 <= self.length_m < math.inf),
                 ("gain", 0.0 < self.gain < math.inf),
                 ("n0", 0.0 <= self.n0 < math.inf),
-                ("seed", ((seed >= 0.0) & (seed < math.inf)).all())):
+                ("seed", not bad_seed.any())):
             if not inside:
                 bound = "> 0" if name == "gain" else ">= 0"
+                got = physcore.first_where(self.seed, bad_seed) \
+                    if name == "seed" else getattr(self, name)
                 raise DomainError(f"{name} must be finite and {bound}, "
-                                  f"got {getattr(self, name)}")
+                                  f"got {got}")
 
 
 @dataclass(frozen=True)
@@ -97,55 +103,35 @@ def gain_coefficient(beam: ElectronBeam, laser: LaserField):
     return a, physcore.COMPTON_WAVELENGTH_M / a
 
 
-def _quadratic_roots(n0, seed):
-    """Roots of the RHS quadratic 2n^2 - b n + c and the root distance
-    d = sqrt(b^2 - 8c).  The discriminant is scaled by b^2, which
-    overflows for dense beams; b^2 - 8c = (2 seed + n0)^2 + 4 seed + 6 n0
-    + 1 keeps the scaled value above 1/9 for non-negative densities.  The
-    lower root is taken from the root product c/2, since (b - d)/4
-    cancels when c << b^2."""
-    b = 2.0 * seed + 3.0 * n0 + 1.0
-    ratio = (n0 + seed) / b
-    root = np.sqrt(1.0 - 8.0 * (n0 / b) * ratio)
-    d = b * root
-    return 2.0 * n0 * ratio / (1.0 + root), (b + d) / 4.0, d
-
-
-def _where(condition, x, y):
-    """np.where on arrays; on the floats of the section chain, where
-    np.where would cost more than the rest of the closed form, a plain
-    conditional."""
-    if isinstance(condition, np.ndarray):
-        return np.where(condition, x, y)
-    return x if condition else y
-
-
 def _densities(n0, seed, gain, l):
     """Closed form of the seeded balance equation: (n, n', N) at distance
     l into a section entered by photon density seed, and the photon
     density as l -> infinity.  seed and l are floats or arrays that
-    broadcast against each other; the caller sets the numpy error state."""
-    if n0 == 0.0:
-        flat = np.zeros(np.broadcast_shapes(np.shape(seed), np.shape(l)))
-        photon = np.broadcast_to(seed, flat.shape).copy()
-        return flat, flat.copy(), photon, seed
-    lo, hi, d = _quadratic_roots(n0, seed)
-    # u = (n - lo)/(n - hi) decays exponentially with rate a d / lambda_c.
-    # Above ~1e16 per Compton volume n0 and hi agree to float resolution;
-    # then n0 - hi = (q - d)/4 with q = n0 - 2 seed - 1 > 0 comes from
-    # (q - d)(q + d) = -8 n0 (seed + 1) instead
-    below = n0 - hi
-    below = _where(below == 0.0, -2.0 * n0 * (seed + 1.0)
-                   / (n0 - 2.0 * seed - 1.0 + d), below)
-    u0 = (n0 - lo) / below
-    rate = gain * d / physcore.COMPTON_WAVELENGTH_M
-    u = u0 * np.exp(-rate * l)
-    n = (lo - hi * u) / (1.0 - u)
-    # hi stays below 1e272, so hi u overflows only for |u| > 1e36, where n
-    # is hi to float resolution
-    n = _where(abs(n) < math.inf, n, hi)
-    n_prime = n0 - n
-    return n, n_prime, seed + n_prime, seed + n0 - lo
+    broadcast against each other; the caller sets the numpy error state.
+
+    n falls from n0 towards the lower root lo of 2n^2 - b n + c; the upper
+    root is hi = lo + d/2, and u = (n - lo)/(n - hi) decays as
+    E = exp(-a d l / lambda_c).  The discriminant is scaled by b^2, which
+    overflows for dense beams; b^2 - 8c = (2 seed + n0)^2 + 4 seed + 6 n0
+    + 1 keeps the scaled value above 1/9.  lo comes from the root product
+    c/2, since (b - d)/4 cancels when c << b^2.  Every term below is
+    non-negative: with r = (n0 + 1 + d)/(b + d) in (0, 1], n0 sits
+    A = n0 - lo = n0 r above lo and B = hi - n0 = (seed + 1)/(2r) below hi,
+    and with q = A E / B, n' = A (1 - E)/(1 + q) and
+    n = lo + (d/2) q/(1 + q) take no difference of densities.  A is a
+    factor, never a divisor, so n0 = 0 and a subnormal n0 need no branch."""
+    b = 2.0 * seed + 3.0 * n0 + 1.0
+    ratio = (n0 + seed) / b
+    root = np.sqrt(1.0 - 8.0 * (n0 / b) * ratio)
+    d = b * root
+    lo = 2.0 * n0 * ratio / (1.0 + root)
+    r = (n0 + 1.0 + d) / (b + d)
+    above = n0 * r
+    x = -gain * d / physcore.COMPTON_WAVELENGTH_M * l      # ln E
+    q = 2.0 * above * r / (seed + 1.0) * np.exp(x)
+    n_prime = -np.expm1(x) * above / (1.0 + q)
+    n = lo + 0.5 * d * (q / (1.0 + q))
+    return n, n_prime, seed + n_prime, seed + above
 
 
 def evolve_seeded(config: TubeConfig, samples=200):
@@ -182,10 +168,6 @@ class MultiSectionResult:
     gain_length_m: float
     warnings: tuple = ()
 
-
-# a zero-length section ends at most 2 ulp(n0) below zero in 50,000 random
-# ones (log-uniform n0, seed and gain); the chain takes twice that as 0.0
-_END_ROUNDING_ULPS = 4
 
 _UNIT_TENSION_NOTE = (
     "density-unit tension: the one-half conversion rule holds for dense "
@@ -229,13 +211,6 @@ def run_multi_section(beam: ElectronBeam, laser: LaserField, section_length_m,
             for _ in range(sections):
                 seeds.append(seed)
                 seed = float(_densities(n0, seed, a, section_length_m)[2])
-                # n can round a few ulp above n0 in a (near) zero-length
-                # section, which leaves the end value that far below zero
-                if -_END_ROUNDING_ULPS * math.ulp(n0) <= seed < 0.0:
-                    seed = 0.0
-                elif not seed >= 0.0:      # NaN fails too
-                    raise DomainError(
-                        f"seed must be finite and >= 0, got {seed}")
             exact_si = density_compton_to_si(seed)
             seed_m3 = exact_si * efficiency
     profile = evolve_seeded(replace(section, seed=np.array(seeds)))

@@ -1,5 +1,6 @@
-"""50-digit reference for the emission kinematics, written apart from
-``qfel.kinematics`` with the standard-library ``decimal`` module.
+"""Standard-library ``decimal`` references, written apart from ``qfel``:
+the emission kinematics at 50 digits and the seeded tube closed form at
+120.
 
 The final state is fixed by the selection rules with a self-consistent
 wiggling radius R' = eA / (k (E' - p'_z)):
@@ -14,11 +15,20 @@ and k' is the root of the final mass shell
 evaluations lands on the root.  The beam's light-cone components come
 from its energy alone; cos and sin are summed from their Taylor series
 at the exact binary value of the float angle.
+
+The tube section solves lambda_c dn/dl = a (2n^2 - b n + c) with
+b = 2 N0 + 3 n0 + 1 and c = n0 (n0 + N0) from n(0) = n0:
+u = (n - lo)/(n - hi) = u(0) exp(-a d l / lambda_c) between the roots
+lo and hi = (b + d)/4, d = sqrt(b^2 - 8c).  lo is taken from the root
+product, 2c/(b + d): at 50 digits (b - d)/4 loses every digit when
+c << b^2.  n' = n0 - n and N = N0 + n' are differences, which the 120
+digits absorb.
 """
 
 from decimal import Decimal, localcontext
 
 DIGITS = 50
+TUBE_DIGITS = 120
 
 
 def _cos_sin(theta):
@@ -71,3 +81,25 @@ def final_state(theta, harmonic, energy, head_on, k, ea):
         kp = k1 * f0 / (f0 - f1)
         d1, s1, _ = state(kp)
         return float(kp), float(d1), float(s1)
+
+
+def tube_section(n0, seed, gain, length, compton_wavelength):
+    """(n, n', N, asymptote) as floats at distance ``length`` into a section
+    of initial electron density ``n0`` entered by photon density ``seed``
+    (per Compton volume), with gain coefficient ``gain``."""
+    with localcontext() as ctx:
+        ctx.prec = TUBE_DIGITS
+        n0, seed = Decimal(n0), Decimal(seed)
+        b = 2 * seed + 3 * n0 + 1
+        c = n0 * (n0 + seed)
+        d = (b * b - 8 * c).sqrt()
+        lo, hi = 2 * c / (b + d), (b + d) / 4
+        if length == 0.0:
+            n = n0                  # the initial condition, exactly
+        else:
+            u = (n0 - lo) / (n0 - hi) * (
+                -Decimal(gain) * d * Decimal(length)
+                / Decimal(compton_wavelength)).exp()
+            n = (lo - hi * u) / (1 - u)
+        return (float(n), float(n0 - n), float(seed + n0 - n),
+                float(seed + n0 - lo))

@@ -1,17 +1,24 @@
-"""Re-evaluate the golden CSV files at 50 digits and report, per column,
-the cell that lies farthest from that re-evaluation.
+"""Re-evaluate qfel CSV files at 50 digits and report, per column and
+per headline, the cell that lies farthest from that re-evaluation.
 
     python tests/golden/fifty_digits.py tests/golden/fig1.csv tests/golden/fig2.csv
+    python tests/golden/fifty_digits.py OLD.csv NEW.csv
 
 The inputs are the floats qfel builds from the configuration echoed in
 each file's header (laser k and eA, beam energy, the theta and energy
-grids).  From there everything runs in 50-digit ``mpmath``: the photon
-energy is the root of the selection-rule mass shell with the
-self-consistent R' (two-point secant; the residual is linear in k'),
-the final light-cone components follow from the selection rules, and
-the cross section and polarization repeat the formulas of
-``qfel.amplitudes.fg_coefficients`` and ``qfel.emission`` with
-mpmath Bessel functions.  Needs ``mpmath`` (test-only).
+grids, and for a tube the densities in Compton volumes, the section
+length and its sample positions).  From there everything runs in
+50-digit ``mpmath``: the photon energy is the root of the selection-rule
+mass shell with the self-consistent R' (two-point secant; the residual
+is linear in k'), the final light-cone components follow from the
+selection rules, and the cross section and polarization repeat the
+formulas of ``qfel.amplitudes.fg_coefficients`` and ``qfel.emission``
+with mpmath Bessel functions.  A tube's gain coefficient is that cross
+section at theta = pi, and its sections are chained through the seeded
+closed form u = (n - lo)/(n - hi) = u(0) exp(-a d l / lambda_c), whose
+differences n0 - n run at twice the digits.  Given an older and a newer
+file of one configuration, the report also counts the cells that differ
+between them.  Needs ``mpmath`` (test-only).
 """
 
 import math
@@ -23,7 +30,9 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
-from qfel import LaserField, make_beam  # noqa: E402
+from qfel import LaserField, make_beam, physcore  # noqa: E402
+from qfel.emission import DEFAULT_HARMONIC_MAX  # noqa: E402
+from qfel.tube import density_si_to_compton  # noqa: E402
 
 mp.mp.dps = 50
 ALPHA = mp.mpf("7.2973525693e-3")
@@ -94,8 +103,9 @@ def norm2(v):
     return sum(abs(x) ** 2 for x in v)
 
 
-def angular_row(theta, beam, k, ea, harmonic_max):
-    """(k' [MeV], 1e6 x averaged cross section, polarization x, y)."""
+def harmonic_sum(theta, beam, k, ea, harmonic_max):
+    """Spin-averaged cross section, harmonic-1 photon energy and the
+    beam-spin keep vector of harmonic 1."""
     total = mp.mpf(0)
     for n in range(1, harmonic_max + 1):
         term = mp.mpf(0)
@@ -110,6 +120,12 @@ def angular_row(theta, beam, k, ea, harmonic_max):
         total += term / 2
         if term <= mp.mpf("1e-14") * total:
             break
+    return total, first_kp, keep
+
+
+def angular_row(theta, beam, k, ea, harmonic_max):
+    """(k' [MeV], 1e6 x averaged cross section, polarization x, y)."""
+    total, first_kp, keep = harmonic_sum(theta, beam, k, ea, harmonic_max)
     unit = [x / mp.sqrt(norm2(keep)) for x in keep]
     # qfel's argmax takes the first of equally large components; on and
     # next to the axis |x| and |y| agree beyond float resolution, so
@@ -121,22 +137,90 @@ def angular_row(theta, beam, k, ea, harmonic_max):
     return first_kp * MEV, 1e6 * total, pol[0], pol[1]
 
 
+def tube_section(n0, seed, a, l, lc):
+    """(n, n', N, asymptote) at distance l into a section entered by photon
+    density seed (per Compton volume)."""
+    with mp.workdps(2 * mp.mp.dps):
+        b = 2 * seed + 3 * n0 + 1
+        c = n0 * (n0 + seed)
+        d = mp.sqrt(b * b - 8 * c)
+        lo, hi = 2 * c / (b + d), (b + d) / 4
+        n = n0                  # the initial condition, exactly
+        if l != 0:
+            u = (n0 - lo) / (n0 - hi) * mp.exp(-a * d * l / lc)
+            n = (lo - hi * u) / (1 - u)
+        return +n, +(n0 - n), +(seed + n0 - n), +(seed + n0 - lo)
+
+
+def tube(config, beam, k, ea):
+    """Data rows and headlines of ``run_multi_section`` and ``cmd_tube``: the
+    chain runs on 50-digit densities from the first seed on, and the last
+    cycle is sampled at the file's 200 positions per section."""
+    lc = mp.mpf(physcore.COMPTON_WAVELENGTH_M)
+    vol = mp.mpf(density_si_to_compton(1.0))
+    n0_si = float(config["beam.density_m3"])
+    n0 = mp.mpf(density_si_to_compton(n0_si))
+    length = float(config["tube.section_length_m"])
+    sections, cycles = int(config["tube.sections"]), int(config["tube.cycles"])
+    efficiency = mp.mpf(float(config["tube.reflection_efficiency"]))
+    a, kp, _ = harmonic_sum(mp.mpf(math.pi), beam, k, ea, DEFAULT_HARMONIC_MAX)
+    kp_mev = kp * MEV
+    seed = mp.mpf(density_si_to_compton(float(config["tube.seed_density_m3"])))
+    for cycle in range(cycles):
+        if cycle:
+            seed *= efficiency
+        seeds = []
+        for _ in range(sections):
+            seeds.append(seed)
+            seed = tube_section(n0, seed, a, mp.mpf(length), lc)[2]
+    rows = []
+    for j, entry in enumerate(seeds):
+        for l in np.linspace(0.0, length, 200):
+            n, n_prime, photon, _ = tube_section(n0, entry, a, mp.mpf(float(l)), lc)
+            rows.append([mp.mpf(j + 1), mp.mpf(float(l)), n, n_prime, photon,
+                         n / vol, photon / vol])
+    watts = kp_mev * mp.mpf(1e6) * mp.mpf(physcore.ELEMENTARY_CHARGE) \
+        * mp.mpf(physcore.SPEED_OF_LIGHT)
+    half = seeds[0] / vol + n0_si * sections / mp.mpf(2)
+    headlines = {
+        "forward photon energy [MeV]": kp_mev,
+        "gain coefficient a": a,
+        "gain length lambda_c/a [m]": lc / a,
+        "asymptotic photon density [per Compton volume]":
+            tube_section(n0, seeds[0], a, mp.mpf(0), lc)[3],
+        "photon density, exact chain [1/m^3]": seed / vol,
+        "photon density, one-half rule [1/m^3]": half,
+        "output intensity, exact chain [W/m^2]": seed / vol * watts,
+        "output intensity, one-half rule [W/m^2]": half * watts}
+    return rows, headlines
+
+
 def read(path):
-    config, rows, command = {}, [], None
+    config, headlines, rows, command = {}, {}, [], None
     with open(path) as fh:
         for line in fh:
             if line.startswith("# qfel "):
                 command = line.split()[3]
+            elif line.startswith("# headline: "):
+                name, _, value = line[12:].rstrip("\n").rpartition(" = ")
+                headlines[name] = value
             elif line.startswith("# ") and " = " in line:
                 key, _, value = line[2:].rstrip("\n").partition(" = ")
                 config[key] = value
             elif not line.startswith("#"):
                 rows.append(line.rstrip("\n").split(","))
-    return command, config, rows
+    return command, config, cells(rows, headlines)
+
+
+def cells(rows, headlines):
+    """(column or headline, data row, value) of every cell, data first."""
+    out = [(col, j, cell) for j, row in enumerate(rows)
+           for col, cell in enumerate(row)]
+    return out + [(name, None, value) for name, value in headlines.items()]
 
 
 def references(command, config):
-    """50-digit value of every cell, row by row."""
+    """50-digit value of every cell, in the order of ``cells``."""
     laser = LaserField(float(config["laser.wavelength_nm"]),
                        float(config["laser.intensity_w_m2"]))
     k, ea = mp.mpf(laser.k), mp.mpf(laser.ea)
@@ -145,17 +229,22 @@ def references(command, config):
         energies = np.linspace(float(config["sweep.energy_min_mev"]),
                                float(config["sweep.energy_max_mev"]),
                                int(config["sweep.energy_points"]))
+        rows = []
         for e_mev in energies:
             beam = Beam(float(e_mev), direction, spin)
-            yield [mp.mpf(float(e_mev)),
-                   final_state(mp.mpf(math.pi), 1, beam, k, ea)[0] * MEV]
-        return
+            rows.append([mp.mpf(float(e_mev)),
+                         final_state(mp.mpf(math.pi), 1, beam, k, ea)[0] * MEV])
+        return cells(rows, {})
     beam = Beam(float(config["beam.energy_mev"]), direction, spin)
+    if command == "tube":
+        return cells(*tube(config, beam, k, ea))
     harmonic_max = int(config["sweep.harmonic_max"])
+    rows = []
     for theta in np.linspace(0.0, math.pi, int(config["sweep.theta_points"])):
         kp, xsec, px, py = angular_row(mp.mpf(float(theta)), beam, k, ea, harmonic_max)
-        yield [mp.mpf(float(theta)) / mp.pi, kp, xsec,
-               mp.re(px), mp.im(px), mp.re(py), mp.im(py)]
+        rows.append([mp.mpf(float(theta)) / mp.pi, kp, xsec,
+                     mp.re(px), mp.im(px), mp.re(py), mp.im(py)])
+    return cells(rows, {})
 
 
 def _rel(cell, ref):
@@ -163,42 +252,45 @@ def _rel(cell, ref):
     return abs(got - ref) / abs(ref) if ref != 0 else abs(got)
 
 
+def _where(key, j):
+    return f"headline {key!r}" if j is None else f"column {key}, data row {j}"
+
+
 def main(paths):
-    """Worst cell per column of each file.  Given an older and a newer
-    file of one configuration, also count the cells that differ between
-    them and how many of those moved farther from the 50-digit value."""
+    """Worst cell per column and per headline of each file.  Given an older
+    and a newer file of one configuration, also count the cells that
+    differ between them and how many of those moved farther from the
+    50-digit value."""
     tables, cache = [], {}
     for path in paths:
-        command, config, rows = read(path)
+        command, config, table = read(path)
         key = (command, tuple(sorted(config.items())))
         if key not in cache:
-            cache[key] = list(references(command, config))
+            cache[key] = [ref for _, _, ref in references(command, config)]
         refs = cache[key]
-        tables.append((command, config, rows, refs))
+        tables.append((key, table, refs))
         worst = {}
-        for j, (row, want) in enumerate(zip(rows, refs)):
-            for col, (cell, ref) in enumerate(zip(row, want)):
-                err = _rel(cell, ref)
-                if col not in worst or err > worst[col][0]:
-                    worst[col] = (err, j, cell, ref)
+        for (col, j, cell), ref in zip(table, refs):
+            err = _rel(cell, ref)
+            if col not in worst or err > worst[col][0]:
+                worst[col] = (err, j, cell, ref)
         print(path)
-        for col, (err, j, cell, ref) in sorted(worst.items()):
-            print(f"  column {col}: worst rel {float(err):.3g} at data row {j}: "
+        for col, (err, j, cell, ref) in worst.items():
+            print(f"  {_where(col, j)}: worst rel {float(err):.3g}: "
                   f"file {cell}, 50 digits {mp.nstr(ref, 14)}")
-    if len(tables) == 2 and tables[0][:2] == tables[1][:2]:
-        (_, _, old, refs), (_, _, new, _) = tables
+    if len(tables) == 2 and tables[0][0] == tables[1][0]:
+        (_, old, refs), (_, new, _) = tables
         moved, worst, farther = {}, {}, []
-        for j, (a, b, want) in enumerate(zip(old, new, refs)):
-            for col, (x, y, ref) in enumerate(zip(a, b, want)):
-                if x != y:
-                    moved[col] = moved.get(col, 0) + 1
-                    if col not in worst or _rel(x, ref) > worst[col][0]:
-                        worst[col] = (_rel(x, ref), j, x, y, ref)
-                    if _rel(y, ref) > _rel(x, ref):
-                        farther.append((j, col, x, y, mp.nstr(ref, 14)))
+        for (col, j, x), (_, _, y), ref in zip(old, new, refs):
+            if x != y:
+                moved[col] = moved.get(col, 0) + 1
+                if col not in worst or _rel(x, ref) > worst[col][0]:
+                    worst[col] = (_rel(x, ref), j, x, y, ref)
+                if _rel(y, ref) > _rel(x, ref):
+                    farther.append((_where(col, j), x, y, mp.nstr(ref, 14)))
         print(f"cells that differ, by column: {moved}; moved farther: {farther}")
-        for col, (err, j, x, y, ref) in sorted(worst.items()):
-            print(f"  column {col}, worst moved cell at data row {j}: old {x} "
+        for col, (err, j, x, y, ref) in worst.items():
+            print(f"  {_where(col, j)}, worst moved cell: old {x} "
                   f"(rel {float(err):.3g}), new {y} (rel {float(_rel(y, ref)):.3g}), "
                   f"50 digits {mp.nstr(ref, 14)}")
 

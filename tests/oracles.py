@@ -22,11 +22,11 @@ from qfel.emission import (_TRUNCATION_RTOL, DEFAULT_HARMONIC_MAX,
                            averaged_cross_section)
 from qfel.errors import DomainError, NumericError
 from qfel.kinematics import solve_final_state
-from qfel.tube import (_END_ROUNDING_ULPS, _UNIT_TENSION_NOTE,
-                       SOFT_GAMMA_MAX_NM, SOFT_GAMMA_MIN_NM,
-                       MultiSectionResult, TubeConfig, TubeProfile,
-                       density_compton_to_si, density_si_to_compton,
-                       evolve_seeded, gain_coefficient, output_intensity)
+from qfel.tube import (_UNIT_TENSION_NOTE, SOFT_GAMMA_MAX_NM,
+                       SOFT_GAMMA_MIN_NM, MultiSectionResult, TubeConfig,
+                       TubeProfile, density_compton_to_si,
+                       density_si_to_compton, evolve_seeded,
+                       gain_coefficient, output_intensity)
 
 
 def integrate_ode(rhs, y0, span, steps):
@@ -82,8 +82,7 @@ def run_multi_section_per_section(beam: ElectronBeam, laser: LaserField,
                                   cycles=1, efficiency=1.0):
     """``run_multi_section`` with one ``evolve_seeded`` call per section and
     cycle: every section's sampled profile is built, and the photon
-    density at its last sample, set to 0.0 when it rounds below zero,
-    seeds the next section.  The last cycle's
+    density at its last sample seeds the next section.  The last cycle's
     profiles are stacked into one block."""
     if sections < 1 or cycles < 1 or not 0.0 <= efficiency <= 1.0:
         raise DomainError("invalid section count, cycle count or efficiency")
@@ -103,9 +102,6 @@ def run_multi_section_per_section(beam: ElectronBeam, laser: LaserField,
             prof = evolve_seeded(cfg)
             profiles.append(prof)
             seed = float(prof.photon[-1])
-            # the runner's rule for an end value that rounds below zero
-            if -_END_ROUNDING_ULPS * math.ulp(n0) <= seed < 0.0:
-                seed = 0.0
         exact_si = density_compton_to_si(seed)
         seed_m3 = exact_si * efficiency
     headline_si = density_compton_to_si(first_seed) + 0.5 * n0_si * sections

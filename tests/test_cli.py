@@ -370,14 +370,43 @@ class TestTubeCommand:
             assert cells[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_length_rounding_below_zero_chains_as_zero(self, tmp_path):
-        # n(0) rounds above n0 at this density, so the first section ends
-        # at -6e-33 per Compton volume; the chain carries 0.0 on
+        # a zero-length section ends exactly at its seed, so the unseeded
+        # chain stays at 0.0 (at this density n(0) rounds above n0, which
+        # once left the first section's end value at -6e-33)
         code, text = run_cli(["tube", "--set", "beam.density_m3=5.62e20",
                               "--set", "tube.section_length_m=0",
                               "--set", "tube.sections=2"], tmp_path)
         assert code == 0
         line = next(l for l in text.splitlines() if "exact chain [1/m^3]" in l)
         assert float(line.rsplit("=", 1)[1]) == 0.0
+
+    def test_dense_short_sections(self, tmp_path):
+        # n stays within float resolution of n0 over 2e-28 m of a 1e60
+        # m^-3 beam; the photons the first section adds are still positive
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)     # space charge
+            code, text = run_cli(["tube", "--set", "beam.density_m3=1e60",
+                                  "--set", "tube.section_length_m=2e-28",
+                                  "--set", "tube.sections=2"], tmp_path)
+        assert code == 0
+        line = next(l for l in text.splitlines() if "exact chain [1/m^3]" in l)
+        assert float(line.rsplit("=", 1)[1]) == pytest.approx(
+            4.99999989449508e+59, rel=1e-11)
+        end = [r for r in data_rows(text) if r.startswith("1,")][-1]
+        photon = parse_cells(end)[4]
+        assert photon > 0.0
+        assert photon == pytest.approx(7.74e14, rel=1e-3)
+
+    def test_overflowing_chain_names_the_first_bad_seed(self, capsys):
+        # the first cycle's output overflows in SI units, so the second
+        # cycle starts from inf and every later section from nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert main(["tube", "--set", "beam.density_m3=1.7e308",
+                         "--set", "tube.sections=7",
+                         "--set", "tube.cycles=2"]) == 3
+        assert capsys.readouterr().err.endswith(
+            "seed must be finite and >= 0, got inf\n")
 
     def test_cyclic_run_takes_the_seed(self, tmp_path):
         _, text = run_cli(["tube", "--set", "tube.cycles=2",

@@ -10,6 +10,7 @@ import qfel.tube
 from qfel import physcore
 from qfel.beamfield import LaserField, make_beam
 from qfel.errors import DomainError
+from decimal_oracle import tube_section
 from oracles import (balance_rhs, evolve_analytic, integrate_ode,
                      run_multi_section_per_section)
 from qfel.tube import (TubeConfig, density_compton_to_si,
@@ -140,8 +141,12 @@ class TestClosedFormsVsRK4:
             TubeConfig(**values)
 
     def test_seed_rows_validated(self):
-        for seeds in ([0.1, -1e-30], [0.1, math.nan]):
-            with pytest.raises(DomainError, match="^seed"):
+        # the message names the first bad seed, not the whole row
+        for seeds, bad in (([0.1, -1e-30, 2.0], "-1e-30"),
+                           ([0.1, math.nan, -1.0], "nan")):
+            with pytest.raises(DomainError,
+                               match=f"^seed must be finite and >= 0, "
+                                     f"got {bad}$"):
                 TubeConfig(length_m=1.0, gain=1e-6, n0=1.0,
                            seed=np.array(seeds))
 
@@ -198,6 +203,57 @@ class TestMultiSection:
         lean = make_beam(307.0, density_m3=0.0)
         with pytest.raises(DomainError):
             run_multi_section(lean, LASER, 0.01, 1)
+
+
+class TestDenseShortSections:
+    """Dense beams over sections far shorter than a gain length, where n
+    stays within float resolution of n0 and n0 - n used to cancel."""
+
+    def test_end_value_and_chain(self):
+        # 1e60 m^-3 is 5.8e22 per Compton volume; the exact chain is the
+        # 150-digit value of the two sections
+        beam = make_beam(307.0, density_m3=1e60)
+        result = run_multi_section(beam, LASER, 2e-28, 2)
+        end = result.profile.photon[0, -1]
+        assert end > 0.0
+        assert end == pytest.approx(7.74e14, rel=1e-3)
+        assert result.photon_density_m3 == pytest.approx(
+            4.99999989449508e+59, rel=1e-11)
+
+    def test_no_section_ends_below_its_seed(self):
+        # decades of 1e40-1e62 m^-3 x 1e-40-1e-10 m at zero seed
+        for density in np.geomspace(1e40, 1e62, 23):
+            beam = make_beam(307.0, density_m3=density)
+            for length in np.geomspace(1e-40, 1e-10, 31).tolist():
+                photon = run_multi_section(beam, LASER, length,
+                                           2).profile.photon
+                assert (photon[:, -1] >= photon[:, 0]).all(), (density,
+                                                               length)
+
+
+class TestDecimalReference:
+    def test_random_sections(self):
+        # n, n', N and the asymptote at both ends of a section against
+        # the 120-digit closed form; exp(-a d l / lambda_c) carries the
+        # relative error of its argument into every density
+        rng = random.Random(20261019)
+        lc = physcore.COMPTON_WAVELENGTH_M
+        for _ in range(2000):
+            n0 = rng.choice([0.0, 10.0 ** rng.uniform(-25.0, 25.0)])
+            seed = rng.choice([0.0, 10.0 ** rng.uniform(-30.0, 25.0)])
+            gain = 10.0 ** rng.uniform(-15.0, 0.0)
+            length = rng.choice([0.0, 10.0 ** rng.uniform(-45.0, 2.0)])
+            prof = evolve_seeded(TubeConfig(length_m=length, gain=gain,
+                                            n0=n0, seed=seed), samples=2)
+            d = math.hypot(2.0 * seed + n0,
+                           math.sqrt(4.0 * seed + 6.0 * n0 + 1.0))
+            for i, l in enumerate(prof.l_m.tolist()):
+                want = tube_section(n0, seed, gain, l, lc)
+                tol = 16.0 * 2.0 ** -52 * (1.0 + gain * d * l / lc)
+                got = (prof.n[i], prof.n_prime[i], prof.photon[i],
+                       prof.asymptote)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= tol * abs(w), (n0, seed, gain, l)
 
 
 class TestCyclic:
@@ -303,22 +359,28 @@ class TestRunnerOracle:
         for length in np.geomspace(1e-9, 1e-7, 9).tolist():
             self.assert_same_run(beam, length, 39)
 
-    def test_end_value_rounding_below_zero_chains_as_zero(self):
-        # at zero length n(0) can round above n0, so the photon density
-        # leaving a section is -6e-33 per Compton volume (2 ulp(n0)); the
-        # chain carries 0.0 on
-        beam = make_beam(307.0, density_m3=5.62e20)
-        for cycles in (1, 2):
-            result = run_multi_section(beam, LASER, 0.0, 2, cycles=cycles)
-            assert result.profile.photon[0, -1] < 0.0
-            assert result.photon_density_m3 == 0.0
-            assert result.intensity_w_m2 == 0.0
-            self.assert_same_run(beam, 0.0, 2, cycles=cycles)
+    @pytest.mark.parametrize("density", (5.62e20, 1e-300, 1e12, 1e18, 1e40,
+                                         1e60))
+    def test_zero_length_keeps_the_seed(self, density):
+        # a zero-length section adds no photons: n' is 0.0 and the photon
+        # density is the seed, bit for bit, in every section and cycle
+        beam = make_beam(307.0, density_m3=density)
+        for seed_m3, cycles in ((0.0, 1), (1e15, 2)):
+            result = run_multi_section(beam, LASER, 0.0, 3, seed_m3=seed_m3,
+                                       cycles=cycles)
+            seed = density_si_to_compton(seed_m3)
+            assert same_bits(result.profile.n_prime,
+                             np.zeros_like(result.profile.n_prime))
+            assert same_bits(result.profile.photon,
+                             np.full_like(result.profile.photon, seed))
+            assert result.photon_density_m3 == density_compton_to_si(seed)
+            self.assert_same_run(beam, 0.0, 3, seed_m3=seed_m3, cycles=cycles)
 
     @pytest.mark.parametrize("ulps", (4, 5, math.nan, math.inf))
     def test_end_value_past_rounding_raises(self, monkeypatch, ulps):
-        # the chain takes 4 ulp(n0) below zero for rounding; a lower or
-        # NaN end value is an error
+        # the closed form ends every section at or above its seed; an end
+        # value below zero or NaN fails the check of the kept cycle's
+        # seeds, which names the first bad one
         densities = qfel.tube._densities
 
         def shifted(n0, seed, gain, l):
@@ -328,13 +390,10 @@ class TestRunnerOracle:
             return n, n_prime, photon, asymptote
 
         monkeypatch.setattr(qfel.tube, "_densities", shifted)
-        if ulps == 4:
-            result = run_multi_section(BEAM, LASER, 0.01, 2)
-            assert result.photon_density_m3 == 0.0
-        else:
-            with pytest.raises(DomainError,
-                               match="^seed must be finite and >= 0"):
-                run_multi_section(BEAM, LASER, 0.01, 2)
+        bad = -ulps * math.ulp(density_si_to_compton(BEAM.density_m3))
+        with pytest.raises(DomainError) as info:
+            run_multi_section(BEAM, LASER, 0.01, 2)
+        assert str(info.value) == f"seed must be finite and >= 0, got {bad}"
 
     @pytest.mark.parametrize("kwargs, field", (
         (dict(section_length_m=math.nan), "length_m"),
