@@ -1,14 +1,14 @@
-"""Transition-amplitude building blocks, for one angle or an array of them.
+"""Transition amplitudes and photon polarization, for one angle or an array.
 
 Closed-form coefficient tables times the Bessel factors J_{N-nu}(p'_perp R')
-of the neighbor harmonics nu = 0, +1, -1 (one stacked series) give real
-components: the spin-keep vector is F1 e1 + i F2 e2 and the spin-flip vector
+of the neighbor harmonics nu = 0, +1, -1 give real components: the
+spin-keep vector is F1 e1 + i F2 e2 and the spin-flip vector
 (G1 e1 + i G2 e2) e^{i sigma phi_k} on the transverse basis at phi_k; the
-sigma = -1 table negates F2 and G1 of the sigma = +1 one.  Cross sections
-need only the components; ``harmonic_vectors`` builds the Cartesian vectors,
-and the outgoing photon polarization is the phase-fixed unit vector along
-the open channel, from ``harmonic_vectors`` in ``outgoing_polarization``
-and from the keep components of its harmonic sum in the angular sweep.
+sigma = -1 table negates F2 and G1 of the sigma = +1 one.  The cross
+section needs no table (``emission``); the polarization is the
+phase-fixed unit vector along the open channel, from ``harmonic_vectors``
+in ``outgoing_polarization`` and from harmonic 1's keep components in
+the angular sweep.
 """
 
 from __future__ import annotations
@@ -94,20 +94,11 @@ def fg_coefficients(kin: EmissionKinematics, beam: ElectronBeam,
             ((g1_0, g1_s, g1_m), (g2_0, g2_s, g2_m)))
 
 
-def bessel_factors(kin: EmissionKinematics):
-    """J_{N-nu}(p'_perp R') for nu = 0, +1, -1; both spins share them.  A
-    column of harmonics takes one stacked call, a row of arguments per order."""
-    n = kin.harmonic
-    x = kin.p_perp_prime * kin.radius_prime
-    rows = bessel_jn(np.ravel((n, n - 1, n + 1)), np.vstack((x, x, x)))
-    return rows.reshape(3, *np.shape(x))
-
-
 def table_components(table, sigma, bessel):
     """(F1, F2, G1, G2) of channel sigma from a table of ``fg_coefficients(...,
-    sigma)``, whose neighbor harmonics are ordered (0, sigma, -sigma), and
-    its ``bessel_factors``: the spin-keep vector is F1 e1 + i F2 e2 and the
-    spin-flip vector is (G1 e1 + i G2 e2) e^{i sigma phi_k}."""
+    sigma)`` (neighbor harmonics ordered 0, sigma, -sigma) and the rows J_N,
+    J_{N-1}, J_{N+1} at p'_perp R': the spin-keep vector is F1 e1 + i F2 e2
+    and the spin-flip vector is (G1 e1 + i G2 e2) e^{i sigma phi_k}."""
     f, g = table
     # table positions of nu = 0, +1, -1
     pos = (0, 1, 2) if sigma == 1 else (0, 2, 1)
@@ -131,8 +122,10 @@ def harmonic_vectors(kin: EmissionKinematics, beam: ElectronBeam,
     """Assemble the Cartesian spin-keep and spin-flip emission vectors on
     the transverse basis at azimuth phi_k; the flip vector carries the
     extra azimuthal phase e^{i sigma phi_k}."""
-    f1, f2, g1, g2 = table_components(fg_coefficients(kin, beam, laser, sigma),
-                                      sigma, bessel_factors(kin))
+    n = kin.harmonic
+    f1, f2, g1, g2 = table_components(
+        fg_coefficients(kin, beam, laser, sigma), sigma,
+        bessel_jn((n, n - 1, n + 1), kin.p_perp_prime * kin.radius_prime))
     basis = polarization_basis(kin.theta, phi_k)
     e1, e2 = basis.e1, basis.e2
     phase = complex(math.cos(sigma * phi_k), math.sin(sigma * phi_k))

@@ -8,7 +8,13 @@ balance equation of ``tube``, whose gain coefficient is the forward
 value of ``averaged_cross_section``.
 
 ``averaged_cross_section`` and ``angular_spectrum`` are views of one
-blocked harmonic sum, which also hands the sweep its harmonic-1 row.
+blocked sum of the Nikishov-Ritus circular-polarization rate (Berestetskii,
+Lifshitz & Pitaevskii, QED section 101).  With xi = eA, d0 = E - p_z,
+S, C = sin^2, cos^2(theta/2), D = (1 + xi^2) S/d0 + d0 C, s = (1 + xi^2)
+S/den and s' = d0^2 C/den (den their numerators' sum), u = 2 N k S/D,
+w = 2 xi sqrt(s s'/(1 + xi^2)) and P, M = J_{N-1}(N w) +- J_{N+1}(N w),
+harmonic N adds alpha xi^2 N k d0 / (8 pi |p_z| D^2 (1 + u)^2) [M^2
++ (s' - s)^2 P^2 + u^2/(2(1 + u)) (M^2 + P^2 (1 + xi^2 (s' - s)^2)/(1 + xi^2))].
 """
 
 from __future__ import annotations
@@ -19,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physcore
-from .amplitudes import (_keep_vector, _unit_polarization, bessel_factors,
-                         fg_coefficients, polarization_basis,
-                         table_components)
+from .amplitudes import (_keep_vector, _unit_polarization, fg_coefficients,
+                         polarization_basis, table_components)
 from .beamfield import ElectronBeam, LaserField
 from .errors import DomainError, NumericError
-from .kinematics import EmissionKinematics, solve_final_state
+from .kinematics import solve_final_state
 
 DEFAULT_HARMONIC_MAX = 8
 _TRUNCATION_RTOL = 1e-14
@@ -38,23 +43,12 @@ class CrossSectionPoint:
     value: float                # [Compton wavelength^2 / sr]
 
 
-def _channel_prefactor(kin: EmissionKinematics, beam: ElectronBeam,
-                       laser: LaserField):
-    if beam.pz == 0.0:
-        raise DomainError("the cross section per unit flux is undefined for a "
-                          "beam at rest")
-    alpha = physcore.FINE_STRUCTURE
-    return (alpha * kin.k_prime * kin.k_prime
-            / (8.0 * math.pi * kin.harmonic * laser.k * abs(beam.pz)
-               * beam.e_minus_pz * (beam.energy + 1.0) * (kin.e_prime + 1.0)))
-
-
 def _harmonic_sum(theta, beam: ElectronBeam, laser: LaserField,
-                  harmonic_max):
-    """The blocked harmonic sum of ``averaged_cross_section`` over a float
-    or a 1-D array of angles: (total, used) arrays and the harmonic-1 row
-    of the first block, which holds every angle, as (k', F1, F2) of the
-    beam-spin keep channel."""
+                  harmonic_max, keep_row=False):
+    """(total, used) arrays of ``averaged_cross_section`` over a float or a
+    1-D array of angles, then with keep_row (k', F1, F2) of harmonic 1's
+    beam-spin keep channel from one solve and table (else None), its
+    Bessel factors riding in the first block, which holds every angle."""
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if thetas.ndim != 1:
         raise DomainError("theta must be a float or a 1-D array")
@@ -64,50 +58,65 @@ def _harmonic_sum(theta, beam: ElectronBeam, laser: LaserField,
             f"theta must lie in [0, pi], got {float(thetas[outside][0])}")
     if harmonic_max < 1:
         raise DomainError(f"harmonic_max must be >= 1, got {harmonic_max}")
+    if beam.pz == 0.0:
+        raise DomainError("the cross section per unit flux is undefined for a "
+                          "beam at rest")
     total = np.zeros_like(thetas)
     used = np.zeros(thetas.shape, dtype=int)
     live = np.arange(thetas.size)       # angles still summing
-    n = 1                               # first harmonic of the next block
-    first = None
+    n, keep = 1, None                   # n: first harmonic of the next block
     with np.errstate(all="ignore"):
+        # per angle, with s and s' each from its own numerator, never 1 - s
+        big_s, big_c = np.sin(0.5 * thetas) ** 2, np.cos(0.5 * thetas) ** 2
+        xi2, d0, k = laser.ea * laser.ea, beam.e_minus_pz, laser.k
+        num_s, num_c = (1.0 + xi2) * big_s, d0 * d0 * big_c
+        s, s_bar = num_s / (num_s + num_c), num_c / (num_s + num_c)
+        big_d = num_s / d0 + d0 * big_c
+        u1 = 2.0 * k * big_s / big_d                    # u / N
+        w = 2.0 * laser.ea * np.sqrt(s * s_bar) / math.sqrt(1.0 + xi2)
+        pref = (physcore.FINE_STRUCTURE * xi2 * k * d0  # both spins
+                / (4.0 * math.pi * abs(beam.pz) * big_d * big_d))
+        diff2 = (s_bar - s) ** 2
+        mix = (1.0 + xi2 * diff2) / (1.0 + xi2)         # 1 - w^2
         while n <= harmonic_max and live.size:
             height = max(1, min(harmonic_max - n + 1,
                                 _BLOCK_ELEMENTS // live.size))
             harmonics = np.arange(n, n + height)[:, None]
-            kin = solve_final_state(thetas[live], harmonics, beam, laser)
-            in_series = physcore.bessel_series_range(
-                kin.p_perp_prime[1:] * kin.radius_prime[1:]).all(axis=1)
+            z = harmonics * w[live]
+            in_series = physcore.bessel_series_range(z[1:]).all(axis=1)
             if not in_series.all():     # end the block before that row
-                kin = solve_final_state(thetas[live],
-                                        harmonics[:1 + np.argmin(in_series)],
-                                        beam, laser)
-            pref = _channel_prefactor(kin, beam, laser)
-            bessel = bessel_factors(kin)
-            # one table for both spins: sigma = -1 only negates F2 and G1
-            table = fg_coefficients(kin, beam, laser, 1)
-            terms = 0.0
-            for sigma in (1, -1):
-                f1, f2, g1, g2 = table_components(table, sigma, bessel)
-                terms = terms + pref * (f1 * f1 + f2 * f2 + g1 * g1 + g2 * g2)
-                if first is None and sigma == beam.spin:
-                    # the sigma = -1 keep vector negates F2 of this table
-                    first = (kin.k_prime[0], f1[0], sigma * f2[0])
-            cols = np.arange(live.size)     # columns of the block still summing
-            for row in terms:
-                term = row[cols]
-                summed = total[live] + 0.5 * term
-                total[live] = summed
-                used[live] = n
-                n += 1
-                going = ~(term <= _TRUNCATION_RTOL * summed)
-                live, cols = live[going], cols[going]
-                if live.size == 0:
-                    break
+                height = 1 + int(np.argmin(in_series))
+                harmonics, z = harmonics[:height], z[:height]
+            orders, args = np.ravel((harmonics - 1, harmonics + 1)), [z, z]
+            if keep_row and n == 1:     # nu = 0, +1, -1 of harmonic 1
+                kin = solve_final_state(thetas, 1, beam, laser)
+                orders = np.append(orders, (1, 0, 2))
+                args += [kin.p_perp_prime * kin.radius_prime] * 3
+            bessel = physcore.bessel_jn(orders, np.vstack(args))
+            jm, jp = bessel[:height], bessel[height:2 * height]
+            m2, p2 = (jm - jp) ** 2, (jm + jp) ** 2
+            u = harmonics * u1[live]
+            one_u = 1.0 + u
+            terms = (pref[live] * harmonics / one_u ** 2
+                     * (m2 + diff2[live] * p2
+                        + u * u / (2.0 * one_u) * (m2 + mix[live] * p2)))
+            if keep_row and n == 1:     # spin -1 negates this table's F2
+                f1, f2, _, _ = table_components(fg_coefficients(
+                    kin, beam, laser, 1), beam.spin, bessel[2 * height:])
+                keep = (kin.k_prime, f1, beam.spin * f2)
+            # cumsum adds the rows one at a time in order of N, as a loop
+            sums = np.cumsum(np.vstack((total[live], 0.5 * terms)), axis=0)[1:]
+            stops = terms <= _TRUNCATION_RTOL * sums
+            going = ~stops.any(axis=0)
+            last = np.where(going, height - 1, stops.argmax(axis=0))
+            total[live] = sums[last, np.arange(live.size)]
+            used[live] = n + last
+            live, n = live[going], n + height
     bad = ~np.isfinite(total)
     if bad.any():
         raise NumericError(f"the cross section at theta={float(thetas[bad][0])} "
                            "is not finite")
-    return total, used, first
+    return total, used, keep
 
 
 def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
@@ -119,17 +128,13 @@ def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
     reports.
 
     The harmonics come in blocks of H = max(1, min(harmonics left,
-    2048 // angles still summing)): one final-state solve, one Bessel
-    call and one coefficient table over the (H, angles) block, then the
-    sum over its rows in order of N, so every angle gets the additions
-    and the stop of a sum one harmonic at a time.  Terms past an angle's
-    stop are computed and dropped: nearly free while per-call overhead
-    dominates small arrays, but not on large ones, hence H = 1 from 2048
-    angles up.  A block ends early at the first of its later rows with
-    a Bessel argument outside the array series (above 9, or out of
-    range): a scalar recurrence there could be paid for harmonics that
-    no angle reaches, and only the first row, which every angle in the
-    block reaches, may raise.  ``angular_spectrum`` runs the same sum."""
+    2048 // angles still summing)): one Bessel call of J_{N-1} and J_{N+1}
+    over the (H, angles) block and about 20 flops per element, then the
+    sum over its rows in order of N, so every angle gets the additions and
+    the stop of a sum one harmonic at a time; terms past a stop are dropped.
+    A block ends before a later row with a Bessel argument outside the
+    array series (above 9, or out of range): its scalar recurrence or its
+    error belongs only to harmonics that some angle reaches."""
     total, used, _ = _harmonic_sum(theta, beam, laser, harmonic_max)
     if np.ndim(theta) == 0:
         used, total = int(used[0]), float(total[0])
@@ -151,15 +156,17 @@ def angular_spectrum(beam: ElectronBeam, laser: LaserField, theta_grid,
                      harmonic_max=DEFAULT_HARMONIC_MAX):
     """Averaged cross section, first-harmonic photon energy, and the
     polarization of the beam-spin keep channel (sigma' = sigma = beam.spin)
-    over an ordered theta grid, all from one harmonic sum: harmonic 1 is
-    the first row of its first block, which every angle reaches, so k'
-    and the keep components F1, F2 come with the sum's own bits and
-    harmonic 1 is not evaluated again."""
+    over an ordered theta grid, from one harmonic sum that also takes
+    harmonic 1's k' and keep components F1, F2, all of them finite."""
     thetas = np.asarray(theta_grid, dtype=float)
     if thetas.ndim != 1 or thetas.size < 1:
         raise DomainError("theta grid must be a non-empty 1-D array")
     avg, _, (k_prime, f1, f2) = _harmonic_sum(thetas, beam, laser,
-                                              harmonic_max)
+                                              harmonic_max, keep_row=True)
+    bad = ~np.isfinite((k_prime, f1, f2)).all(axis=0)
+    if bad.any():
+        raise NumericError("the harmonic-1 photon energy or polarization at "
+                           f"theta={float(thetas[bad][0])} is not finite")
     pol = _unit_polarization(*_keep_vector(f1, f2, polarization_basis(thetas)))
     return AngularSpectrum(thetas=thetas, k_prime=k_prime, averaged=avg,
                            polarization_x=pol[:, 0], polarization_y=pol[:, 1])

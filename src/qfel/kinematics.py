@@ -85,9 +85,8 @@ def solve_final_state(theta, harmonic, beam: ElectronBeam, laser: LaserField):
     E' - p'_z = (E - p_z) D(eA^2 / (2 (E - p_z))) / D(q) with D the
     emission-energy denominator, and E' + p'_z = (1 + p'_perp^2) / (E' - p'_z)
     from the mass shell.  Both denominators share one sin and cos of theta/2.
-    An integer column of harmonics (a block of ``averaged_cross_section``)
-    gives one row per harmonic over the angles, each row with the bits of
-    that harmonic's own call.
+    An integer column of harmonics gives one row per harmonic over the
+    angles, each row with the bits of that harmonic's own call.
     """
     low = np.asarray(harmonic) < 1
     if low.any():

@@ -86,7 +86,7 @@ def bessel_jn(order, x):
     """J_n(x) for an integer order n and a float or 1-D array of arguments;
     a 1-D sequence of orders gives one row per order, over the same
     arguments or, when x is 2-D, over its own row of x (how a block of
-    harmonics gets J_{N-1}, J_N and J_{N+1} of all its rows in one call).
+    harmonics gets J_{N-1} and J_{N+1} of all its rows in one call).
 
     For |x| <= 50 and any order the relative error is below 1e-12 away
     from the zeros of J_n; values below the smallest float come out as 0.

@@ -11,14 +11,17 @@ length and its sample positions).  From there everything runs in
 50-digit ``mpmath``: the photon energy is the root of the selection-rule
 mass shell with the self-consistent R' (two-point secant; the residual
 is linear in k'), the final light-cone components follow from the
-selection rules, and the cross section and polarization repeat the
-formulas of ``qfel.amplitudes.fg_coefficients`` and ``qfel.emission``
-with mpmath Bessel functions.  A tube's gain coefficient is that cross
-section at theta = pi, and its sections are chained through the seeded
-closed form u = (n - lo)/(n - hi) = u(0) exp(-a d l / lambda_c), whose
-differences n0 - n run at twice the digits.  Given an older and a newer
-file of one configuration, the report also counts the cells that differ
-between them.  Needs ``mpmath`` (test-only).
+selection rules, and the polarization repeats the formulas of
+``qfel.amplitudes.fg_coefficients`` with mpmath Bessel functions.  The
+cross section is summed with qfel's stop from either of two forms of its
+harmonic term: the squared spin vectors of those tables (``table_term``,
+the default) or the sum of squares of J_{N-1} and J_{N+1} that
+``qfel.emission`` sums (``squares_term``).  A tube's gain coefficient is
+that cross section at theta = pi, and its sections are chained through
+the seeded closed form u = (n - lo)/(n - hi) = u(0) exp(-a d l /
+lambda_c), whose differences n0 - n run at twice the digits.  Given an
+older and a newer file of one configuration, the report also counts the
+cells that differ between them.  Needs ``mpmath`` (test-only).
 """
 
 import math
@@ -45,7 +48,11 @@ class Beam:
         p = mp.sqrt((e - 1) * (e + 1))
         self.e, self.spin = e, spin
         self.pz = -p if direction == "head_on" else p
-        self.d, self.s = e - self.pz, e + self.pz
+        # the light-cone pair from its sum, on the mass shell d s = 1: the
+        # residual of ``final_state`` is of order N k d, so d = e - p_z
+        # of a fast co-propagating beam would cost it digits
+        big = e + p
+        self.d, self.s = (big, 1 / big) if direction == "head_on" else (1 / big, big)
 
 
 def final_state(theta, n, beam, k, ea):
@@ -103,29 +110,57 @@ def norm2(v):
     return sum(abs(x) ** 2 for x in v)
 
 
-def harmonic_sum(theta, beam, k, ea, harmonic_max):
-    """Spin-averaged cross section, harmonic-1 photon energy and the
-    beam-spin keep vector of harmonic 1."""
+def table_term(theta, n, beam, k, ea):
+    """Term of harmonic n summed over both spins, from the spin-keep and
+    spin-flip vectors of the F/G coefficient tables."""
+    term = mp.mpf(0)
+    for sigma in (1, -1):
+        kp, d1, s1, fv, gv = vectors(theta, n, beam, k, ea, sigma)
+        e1 = (s1 + d1) / 2
+        pref = (ALPHA * kp ** 2 / (8 * mp.pi * n * k * abs(beam.pz) * beam.d
+                                    * (beam.e + 1) * (e1 + 1)))
+        term += pref * (norm2(fv) + norm2(gv))
+    return term
+
+
+def squares_term(theta, n, beam, k, ea):
+    """The same term as a sum of squares of J_{N-1} and J_{N+1} at
+    z = N 2 xi sqrt(s s-bar) / sqrt(1 + xi^2) (Nikishov-Ritus circular
+    polarization rate), with xi = eA, S = sin^2(theta/2),
+    C = cos^2(theta/2), D = (1 + xi^2) S/d0 + d0 C, s = (1 + xi^2) S/den,
+    s-bar = d0^2 C/den (den their sum of numerators) and u = 2 N k S/D."""
+    xi2, d0 = ea ** 2, beam.d
+    big_s, big_c = mp.sin(theta / 2) ** 2, mp.cos(theta / 2) ** 2
+    den = (1 + xi2) * big_s + d0 ** 2 * big_c
+    s, s_bar = (1 + xi2) * big_s / den, d0 ** 2 * big_c / den
+    big_d = (1 + xi2) * big_s / d0 + d0 * big_c
+    u = 2 * n * k * big_s / big_d
+    z = n * 2 * ea * mp.sqrt(s * s_bar) / mp.sqrt(1 + xi2)
+    jm, jp = mp.besselj(n - 1, z), mp.besselj(n + 1, z)
+    plus2, minus2 = (jm + jp) ** 2, (jm - jp) ** 2
+    return (ALPHA * xi2 * n * k * d0
+            / (4 * mp.pi * abs(beam.pz) * big_d ** 2 * (1 + u) ** 2)
+            * (minus2 + (s_bar - s) ** 2 * plus2
+               + u ** 2 / (2 * (1 + u))
+               * (minus2 + plus2 * (1 + xi2 * (s_bar - s) ** 2) / (1 + xi2))))
+
+
+def harmonic_sum(theta, beam, k, ea, harmonic_max, term=table_term):
+    """Spin-averaged cross section with qfel's stop, from either form of
+    the term (``table_term`` or ``squares_term``)."""
     total = mp.mpf(0)
     for n in range(1, harmonic_max + 1):
-        term = mp.mpf(0)
-        for sigma in (1, -1):
-            kp, d1, s1, fv, gv = vectors(theta, n, beam, k, ea, sigma)
-            e1 = (s1 + d1) / 2
-            pref = (ALPHA * kp ** 2 / (8 * mp.pi * n * k * abs(beam.pz) * beam.d
-                                        * (beam.e + 1) * (e1 + 1)))
-            term += pref * (norm2(fv) + norm2(gv))
-            if n == 1 and sigma == beam.spin:
-                first_kp, keep = kp, fv
-        total += term / 2
-        if term <= mp.mpf("1e-14") * total:
+        both = term(theta, n, beam, k, ea)
+        total += both / 2
+        if both <= mp.mpf("1e-14") * total:
             break
-    return total, first_kp, keep
+    return total
 
 
 def angular_row(theta, beam, k, ea, harmonic_max):
     """(k' [MeV], 1e6 x averaged cross section, polarization x, y)."""
-    total, first_kp, keep = harmonic_sum(theta, beam, k, ea, harmonic_max)
+    total = harmonic_sum(theta, beam, k, ea, harmonic_max)
+    first_kp, _, _, keep, _ = vectors(theta, 1, beam, k, ea, beam.spin)
     unit = [x / mp.sqrt(norm2(keep)) for x in keep]
     # qfel's argmax takes the first of equally large components; on and
     # next to the axis |x| and |y| agree beyond float resolution, so
@@ -163,8 +198,8 @@ def tube(config, beam, k, ea):
     length = float(config["tube.section_length_m"])
     sections, cycles = int(config["tube.sections"]), int(config["tube.cycles"])
     efficiency = mp.mpf(float(config["tube.reflection_efficiency"]))
-    a, kp, _ = harmonic_sum(mp.mpf(math.pi), beam, k, ea, DEFAULT_HARMONIC_MAX)
-    kp_mev = kp * MEV
+    a = harmonic_sum(mp.mpf(math.pi), beam, k, ea, DEFAULT_HARMONIC_MAX)
+    kp_mev = final_state(mp.mpf(math.pi), 1, beam, k, ea)[0] * MEV
     seed = mp.mpf(density_si_to_compton(float(config["tube.seed_density_m3"])))
     for cycle in range(cycles):
         if cycle:

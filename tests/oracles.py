@@ -5,21 +5,21 @@ chain taken one sampled section profile at a time; for the zero-amplitude
 limit of the cross section the Klein-Nishina formula (rest-frame formula
 plus exact boost) and the photon content of the laser wave; for the flux
 factor the prefactor of the transition
-rate; for the blocked harmonic sum the same sum taken one harmonic at a
-time; for the angular sweep the sweep that evaluates harmonic 1 a second
-time beside the sum."""
+rate; for the blocked harmonic sum the same sum of squares taken one
+harmonic at a time, and the coefficient-table form of each term, summed
+the same way; for the angular sweep the sweep that evaluates harmonic 1
+a second time beside the sum."""
 
 import math
 
 import numpy as np
 
 from qfel import physcore
-from qfel.amplitudes import (bessel_factors, fg_coefficients,
-                             outgoing_polarization, table_components)
+from qfel.amplitudes import (fg_coefficients, outgoing_polarization,
+                             table_components)
 from qfel.beamfield import ElectronBeam, LaserField
 from qfel.emission import (_TRUNCATION_RTOL, DEFAULT_HARMONIC_MAX,
-                           AngularSpectrum, _channel_prefactor,
-                           averaged_cross_section)
+                           AngularSpectrum, averaged_cross_section)
 from qfel.errors import DomainError, NumericError
 from qfel.kinematics import solve_final_state
 from qfel.tube import (_UNIT_TENSION_NOTE, SOFT_GAMMA_MAX_NM,
@@ -173,7 +173,7 @@ def klein_nishina_reference(theta, beam: ElectronBeam, k):
 def transition_rate_prefactor(kin, beam: ElectronBeam, laser: LaserField):
     """The factor that turns the squared amplitude of one channel into the
     transition probability per unit time, volume and solid angle, written
-    independently of the cross section's ``_channel_prefactor``."""
+    independently of the cross section's ``channel_prefactor``."""
     alpha = physcore.FINE_STRUCTURE
     e, ep = beam.energy, kin.e_prime
     return (alpha * kin.k_prime / (2.0 * math.pi) ** 3
@@ -181,26 +181,40 @@ def transition_rate_prefactor(kin, beam: ElectronBeam, laser: LaserField):
             * ep * kin.k_prime / (kin.harmonic * laser.k * beam.e_minus_pz))
 
 
-def averaged_cross_section_per_harmonic(thetas, beam: ElectronBeam,
-                                        laser: LaserField, harmonic_max=8):
-    """(value, harmonic) arrays of ``averaged_cross_section`` over a 1-D
-    theta array, summed one harmonic at a time: each harmonic is solved,
-    given its Bessel factors and its coefficient table for the angles
-    still summing, and nothing past an angle's stop is evaluated."""
-    thetas = np.asarray(thetas, dtype=float)
+def bessel_factors(kin):
+    """J_{N-nu}(p'_perp R') for nu = 0, +1, -1 of one harmonic, the rows
+    ``table_components`` takes."""
+    n = kin.harmonic
+    return physcore.bessel_jn((n, n - 1, n + 1),
+                              kin.p_perp_prime * kin.radius_prime)
+
+
+def channel_prefactor(kin, beam: ElectronBeam, laser: LaserField):
+    """The factor that turns the squared amplitude of one channel into its
+    cross section, as the coefficient-table form of the harmonic sum
+    takes it."""
+    if beam.pz == 0.0:
+        raise DomainError("the cross section per unit flux is undefined for a "
+                          "beam at rest")
+    alpha = physcore.FINE_STRUCTURE
+    return (alpha * kin.k_prime * kin.k_prime
+            / (8.0 * math.pi * kin.harmonic * laser.k * abs(beam.pz)
+               * beam.e_minus_pz * (beam.energy + 1.0) * (kin.e_prime + 1.0)))
+
+
+def _one_harmonic_at_a_time(thetas, harmonic_max, term_of):
+    """(value, harmonic, terms) of a harmonic sum over a 1-D theta array
+    with the stop of ``averaged_cross_section``: term_of(n, live) gives
+    the term of both spins of harmonic n at the angles still summing, and
+    nothing past an angle's stop is evaluated.  terms holds every term
+    evaluated, one row per harmonic, and 0 elsewhere."""
     total = np.zeros_like(thetas)
     used = np.zeros(thetas.shape, dtype=int)
+    terms = np.zeros((harmonic_max, thetas.size))
     live = np.arange(thetas.size)
     with np.errstate(all="ignore"):
         for n in range(1, harmonic_max + 1):
-            kin = solve_final_state(thetas[live], n, beam, laser)
-            pref = _channel_prefactor(kin, beam, laser)
-            bessel = bessel_factors(kin)
-            table = fg_coefficients(kin, beam, laser, 1)
-            term = 0.0
-            for sigma in (1, -1):
-                f1, f2, g1, g2 = table_components(table, sigma, bessel)
-                term = term + pref * (f1 * f1 + f2 * f2 + g1 * g1 + g2 * g2)
+            term = terms[n - 1, live] = term_of(n, live)
             summed = total[live] + 0.5 * term
             total[live] = summed
             used[live] = n
@@ -209,7 +223,74 @@ def averaged_cross_section_per_harmonic(thetas, beam: ElectronBeam,
                 break
     if not np.isfinite(total).all():
         raise NumericError("the cross section is not finite")
-    return total, used
+    return total, used, terms
+
+
+def averaged_cross_section_per_harmonic(thetas, beam: ElectronBeam,
+                                        laser: LaserField, harmonic_max=8):
+    """``averaged_cross_section`` over a 1-D theta array in the
+    coefficient-table form, one harmonic at a time: each harmonic is
+    solved, given its Bessel factors and its coefficient table, and its
+    term is the sum over both spins of ``channel_prefactor`` times
+    F1^2 + F2^2 + G1^2 + G2^2.  Returns (value, harmonic, terms) as
+    ``_one_harmonic_at_a_time``."""
+    thetas = np.asarray(thetas, dtype=float)
+
+    def term_of(n, live):
+        kin = solve_final_state(thetas[live], n, beam, laser)
+        pref = channel_prefactor(kin, beam, laser)
+        bessel = bessel_factors(kin)
+        table = fg_coefficients(kin, beam, laser, 1)
+        term = 0.0
+        for sigma in (1, -1):
+            f1, f2, g1, g2 = table_components(table, sigma, bessel)
+            term = term + pref * (f1 * f1 + f2 * f2 + g1 * g1 + g2 * g2)
+        return term
+
+    return _one_harmonic_at_a_time(thetas, harmonic_max, term_of)
+
+
+def sum_of_squares_factors(thetas, beam: ElectronBeam, laser: LaserField):
+    """Per-angle factors of the sum-of-squares form, as the blocked sum
+    takes them: the prefactor of both spins, u/N, the Bessel argument
+    per harmonic w = z/N, (s-bar - s)^2 and 1 - w^2."""
+    with np.errstate(all="ignore"):
+        big_s = np.sin(0.5 * thetas) ** 2
+        big_c = np.cos(0.5 * thetas) ** 2
+        xi2, d0, k = laser.ea * laser.ea, beam.e_minus_pz, laser.k
+        den = (1.0 + xi2) * big_s + d0 * d0 * big_c
+        s, s_bar = (1.0 + xi2) * big_s / den, d0 * d0 * big_c / den
+        big_d = (1.0 + xi2) * big_s / d0 + d0 * big_c
+        pref = (physcore.FINE_STRUCTURE * xi2 * k * d0
+                / (4.0 * math.pi * abs(beam.pz) * big_d * big_d))
+        diff2 = (s_bar - s) ** 2
+        return (pref, 2.0 * k * big_s / big_d,
+                2.0 * laser.ea * np.sqrt(s * s_bar) / math.sqrt(1.0 + xi2),
+                diff2, (1.0 + xi2 * diff2) / (1.0 + xi2))
+
+
+def averaged_cross_section_squares(thetas, beam: ElectronBeam,
+                                   laser: LaserField, harmonic_max=8):
+    """``averaged_cross_section`` over a 1-D theta array in the
+    sum-of-squares form, one harmonic at a time: J_{N-1} and J_{N+1} at
+    z = N w, P = J_{N-1} + J_{N+1}, M = J_{N-1} - J_{N+1} and
+    u = N u/N give the term of both spins
+    pref N/(1 + u)^2 [M^2 + (s-bar - s)^2 P^2
+                      + u^2/(2(1 + u)) (M^2 + (1 - w^2) P^2)].
+    Returns (value, harmonic, terms) as ``_one_harmonic_at_a_time``."""
+    thetas = np.asarray(thetas, dtype=float)
+    pref, u1, w, diff2, mix = sum_of_squares_factors(thetas, beam, laser)
+
+    def term_of(n, live):
+        z = n * w[live]
+        jm, jp = physcore.bessel_jn(n - 1, z), physcore.bessel_jn(n + 1, z)
+        m2, p2 = (jm - jp) * (jm - jp), (jm + jp) * (jm + jp)
+        u = n * u1[live]
+        return (pref[live] * n / ((1.0 + u) * (1.0 + u))
+                * (m2 + diff2[live] * p2
+                   + u * u / (2.0 * (1.0 + u)) * (m2 + mix[live] * p2)))
+
+    return _one_harmonic_at_a_time(thetas, harmonic_max, term_of)
 
 
 def angular_spectrum_two_pass(beam: ElectronBeam, laser: LaserField,

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from qfel.amplitudes import (bessel_factors, fg_coefficients,
-                             harmonic_vectors, outgoing_polarization,
-                             polarization_basis, table_components)
+from oracles import bessel_factors
+from qfel.amplitudes import (fg_coefficients, harmonic_vectors,
+                             outgoing_polarization, polarization_basis,
+                             table_components)
 from qfel.beamfield import LaserField, make_beam
 from qfel.errors import ClosedChannelError, DomainError
 from qfel.kinematics import solve_final_state

@@ -1,7 +1,10 @@
 """Unit tests for the averaged cross section, its flux factor, the angular
-spectrum, and the Klein-Nishina oracle."""
+spectrum, the Klein-Nishina oracle and the two 50-digit forms of the
+harmonic term."""
 
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,15 +14,18 @@ import qfel.emission
 from qfel import physcore
 from oracles import (angular_spectrum_two_pass,
                      averaged_cross_section_per_harmonic,
+                     averaged_cross_section_squares, channel_prefactor,
                      klein_nishina_reference, klein_nishina_rest,
-                     photon_density_compton, transition_rate_prefactor)
+                     photon_density_compton, sum_of_squares_factors,
+                     transition_rate_prefactor)
 from qfel.beamfield import LaserField, make_beam
 from qfel.amplitudes import outgoing_polarization
-from qfel.emission import (_channel_prefactor, angular_spectrum,
+from qfel.emission import (_TRUNCATION_RTOL, angular_spectrum,
                            averaged_cross_section)
 from qfel.errors import (ClosedChannelError, DomainError, NumericError,
                          QfelError)
 from qfel.kinematics import solve_final_state
+from qfel.tube import gain_coefficient
 
 LASER = LaserField(785.0, 1e19)
 BEAM = make_beam(307.0)
@@ -36,7 +42,7 @@ class TestRateCrossSectionConsistency:
             for n in (1, 2):
                 kin = solve_final_state(frac * math.pi, n, BEAM, LASER)
                 ratio = (transition_rate_prefactor(kin, BEAM, LASER)
-                         / _channel_prefactor(kin, BEAM, LASER))
+                         / channel_prefactor(kin, BEAM, LASER))
                 assert ratio == pytest.approx(want, rel=1e-10)
 
 
@@ -72,9 +78,18 @@ class TestAveraged:
             averaged_cross_section(math.pi, make_beam(0.51099895), LASER)
 
     def test_overflow_is_numeric_error(self):
-        # a 1e-230 nm wave: k'^2 overflows on the axis
-        with pytest.raises(NumericError):
-            averaged_cross_section(0.0, BEAM, LaserField(1e-230, 1e19))
+        # a 1e-230 nm wave: eA underflows to 0, so on the axis the cross
+        # section, proportional to eA^2, is exactly 0 for these floats;
+        # at pi/4 u^2 overflows
+        wave = LaserField(1e-230, 1e19)
+        assert wave.ea == 0.0
+        assert averaged_cross_section(0.0, BEAM, wave).value == 0.0
+        with pytest.raises(NumericError, match="cross section"):
+            averaged_cross_section(0.25 * math.pi, BEAM, wave)
+        # the sum no longer needs k', but the sweep's harmonic-1 table
+        # (k^2 times R = 0) is not finite on the axis
+        with pytest.raises(NumericError, match="harmonic-1"):
+            angular_spectrum(BEAM, wave, np.array([0.0]))
 
 
 class TestAngularSpectrum:
@@ -134,57 +149,68 @@ class TestAngularSpectrum:
 
     @pytest.mark.parametrize("intensity", [1e19, 1e24])
     @pytest.mark.parametrize("points", [41, 3000])
-    def test_one_bessel_pass_and_one_table_per_block(self, monkeypatch,
-                                                     intensity, points):
-        # each block of harmonics makes one solve, one stacked Bessel call
-        # and one coefficient table for both spins; the harmonic-1 k' and
-        # polarization come from the first block, with no call of their
-        # own.  No Bessel argument here exceeds 9, so every block has the
-        # height of the budget rule.
+    def test_one_bessel_pass_per_block_one_table_per_sweep(
+            self, monkeypatch, intensity, points):
+        # each block of harmonics makes one stacked Bessel call of J_{N-1}
+        # and J_{N+1} and no final-state solve or coefficient table.  The
+        # sweep makes one harmonic-1 solve and one table for its k' and
+        # polarization, and J_1, J_0, J_2 of that solve ride as three extra
+        # rows in the first block's call; the scalar view makes neither.
+        # No Bessel argument here exceeds 9, so every block has the height
+        # of the budget rule.
         laser = LaserField(785.0, intensity)
         thetas = np.linspace(0.0, math.pi, points)
-        counts = {"bessel_jn": 0, "fg_coefficients": 0}
-        blocks = []                     # (first harmonic, height, angles)
-        scalar = []                     # harmonics of non-block solves
-        solve = qfel.emission.solve_final_state
+        bessel, solves, tables = [], [], []
 
-        def counter(fn):
-            def counted(*args):
-                counts[fn.__name__] += 1
+        def recording(log, fn, entry):
+            def recorded(*args):
+                log.append(entry(*args))
                 return fn(*args)
-            return counted
+            return recorded
 
-        def recording(theta, harmonic, *args):
-            if np.ndim(harmonic) == 2:
-                blocks.append((int(harmonic[0, 0]), len(harmonic),
-                               np.size(theta)))
-            else:
-                scalar.append(harmonic)
-            return solve(theta, harmonic, *args)
+        def orders(order, x):
+            return np.atleast_1d(order).tolist(), np.shape(x)[-1]
 
-        for module, name in ((qfel.amplitudes, "bessel_jn"),
-                             (qfel.amplitudes, "fg_coefficients"),
-                             (qfel.emission, "fg_coefficients")):
-            monkeypatch.setattr(module, name, counter(getattr(module, name)))
-        monkeypatch.setattr(qfel.emission, "solve_final_state", recording)
-        angular_spectrum(BEAM, laser, thetas)
-        monkeypatch.undo()
-        assert counts == {"bessel_jn": len(blocks),
-                          "fg_coefficients": len(blocks)}
-        assert scalar == []
+        for module, name, log, entry in (
+                (physcore, "bessel_jn", bessel, orders),
+                (qfel.amplitudes, "bessel_jn", bessel, orders),
+                (qfel.emission, "solve_final_state", solves,
+                 lambda theta, harmonic, *_: (np.size(theta), harmonic)),
+                (qfel.emission, "fg_coefficients", tables, lambda *_: 1)):
+            monkeypatch.setattr(module, name,
+                                recording(log, getattr(module, name), entry))
         cap = qfel.emission.DEFAULT_HARMONIC_MAX
-        first = 1
-        for n, height, live in blocks:
-            assert n == first
-            assert height == max(1, min(cap - n + 1, 2048 // live))
-            first += height
+
+        def blocks(extra):
+            # (first harmonic, height, angles) of each call, checking its
+            # rows: 2H for a block, the first one with `extra` more
+            out, first = [], 1
+            for j, (got, live) in enumerate(bessel):
+                tail = extra if j == 0 else []
+                height = (len(got) - len(tail)) // 2
+                assert got == [*range(first - 1, first + height - 1),
+                               *range(first + 1, first + height + 1), *tail]
+                assert height == max(1, min(cap - first + 1, 2048 // live))
+                out.append((first, height, live))
+                first += height
+            return out
+
+        angular_spectrum(BEAM, laser, thetas)
+        assert solves == [(points, 1)] and tables == [1]
+        sweep = blocks([1, 0, 2])
+        bessel.clear()
         used = averaged_cross_section(thetas, BEAM, laser).harmonic
-        assert first > used.max()
+        assert blocks([]) == sweep
+        gain_coefficient(BEAM, laser)
+        assert solves == [(points, 1)] and tables == [1]
+        monkeypatch.undo()
+        last, height, _ = sweep[-1]
+        assert last + height > used.max() and sweep[0][2] == points
         if points == 41:
-            assert blocks == [(1, cap, points)]
+            assert sweep == [(1, cap, points)]
         else:
-            assert blocks[0] == (1, 1, points)
-            assert max(height for _, height, _ in blocks) > 1
+            assert sweep[0] == (1, 1, points)
+            assert max(height for _, height, _ in sweep) > 1
 
     def test_invalid_grid(self):
         with pytest.raises(DomainError):
@@ -292,11 +318,15 @@ class TestKleinNishinaOracle:
 
 class TestHarmonicBlocks:
     """The blocked harmonic sum against the same sum one harmonic at a
-    time (``oracles.averaged_cross_section_per_harmonic``): equal bits
-    in every value and every harmonic count."""
+    time (``oracles.averaged_cross_section_squares``): equal bits in
+    every value and every harmonic count, the same exceptions and the
+    same scalar Bessel recurrences.  The coefficient-table form
+    (``oracles.averaged_cross_section_per_harmonic``) is a second,
+    independent oracle over the same grid."""
 
     # (intensity W/m^2, harmonic cap, beam energy MeV, direction, spin)
-    CASES = [(1e19, 8, 307.0, "head_on", 1),
+    CASES = [(0.0, 8, 307.0, "co_propagating", 1),    # every term 0
+             (1e19, 8, 307.0, "head_on", 1),
              (1e19, 60, 307.0, "co_propagating", -1),
              (1e24, 1, 307.0, "head_on", -1),
              (1e24, 8, 307.0, "head_on", -1),
@@ -307,21 +337,52 @@ class TestHarmonicBlocks:
 
     # at 1e28 W/m^2 most Bessel arguments exceed 9 and take the scalar
     # Miller recurrence, about 12 s for 3000 angles to cap 60
-    @pytest.mark.parametrize("intensity,cap,energy,direction,spin,points", [
-        (*case, points) for case in CASES for points in (1, 41, 150, 3000)
-        if (case[0], points) != (1e28, 3000)])
-    def test_bits_equal_one_harmonic_at_a_time(self, intensity, cap, energy,
-                                               direction, spin, points):
-        laser = LaserField(785.0, intensity)
-        beam = make_beam(energy, direction=direction, spin=spin)
+    GRID = [(*case, points) for case in CASES
+            for points in (1, 41, 150, 3000)
+            if (case[0], points) != (1e28, 3000)]
+
+    @staticmethod
+    def grid(intensity, energy, direction, spin, points):
         thetas = (np.array([0.97 * math.pi]) if points == 1
                   else np.linspace(0.0, math.pi, points))
+        return (LaserField(785.0, intensity),
+                make_beam(energy, direction=direction, spin=spin), thetas)
+
+    @pytest.mark.parametrize("intensity,cap,energy,direction,spin,points",
+                             GRID)
+    def test_bits_equal_one_harmonic_at_a_time(self, intensity, cap, energy,
+                                               direction, spin, points):
+        laser, beam, thetas = self.grid(intensity, energy, direction, spin,
+                                        points)
         got = averaged_cross_section(thetas, beam, laser, harmonic_max=cap)
-        value, used = averaged_cross_section_per_harmonic(
+        value, used, _ = averaged_cross_section_squares(
             thetas, beam, laser, harmonic_max=cap)
         np.testing.assert_array_equal(got.value.view(np.int64),
                                       value.view(np.int64))
         np.testing.assert_array_equal(got.harmonic, used)
+
+    @pytest.mark.parametrize("intensity,cap,energy,direction,spin,points",
+                             GRID)
+    def test_table_form_agrees(self, intensity, cap, energy, direction, spin,
+                               points):
+        # the two forms differ by rounding only (at most 3.6e-15 relative
+        # measured over this grid), and the table form's smallest terms
+        # carry cancellation, so a stop may move by one harmonic; every
+        # term one form adds past the other's stop is below the stop's
+        # 1e-14 of the total
+        laser, beam, thetas = self.grid(intensity, energy, direction, spin,
+                                        points)
+        value, used, terms = averaged_cross_section_squares(
+            thetas, beam, laser, harmonic_max=cap)
+        table, table_used, table_terms = averaged_cross_section_per_harmonic(
+            thetas, beam, laser, harmonic_max=cap)
+        np.testing.assert_allclose(value, table, rtol=1e-13, atol=0.0)
+        assert np.abs(used - table_used).max() <= 1
+        n = np.arange(1, cap + 1)[:, None]
+        extra = np.where(n > table_used, terms, table_terms)
+        extra[(n <= np.minimum(used, table_used))
+              | (n > np.maximum(used, table_used))] = 0.0
+        assert (extra <= _TRUNCATION_RTOL * np.maximum(value, table)).all()
 
     @pytest.mark.parametrize("intensity,points", [(1e19, 41), (1e24, 150),
                                                   (1e24, 3000)])
@@ -332,11 +393,11 @@ class TestHarmonicBlocks:
         laser = LaserField(785.0, intensity)
         thetas = np.linspace(0.0, math.pi, points)
         cap = 30
-        _, used = averaged_cross_section_per_harmonic(thetas, BEAM, laser,
-                                                      harmonic_max=cap)
-        args = np.array([np.abs(kin.p_perp_prime * kin.radius_prime)
-                         for kin in (solve_final_state(thetas, n, BEAM, laser)
-                                     for n in range(1, cap + 1))])
+        _, used, _ = averaged_cross_section_squares(thetas, BEAM, laser,
+                                                    harmonic_max=cap)
+        # J_{N-1} and J_{N+1} at N w, N = 1..cap
+        w = sum_of_squares_factors(thetas, BEAM, laser)[2]
+        args = np.arange(1, cap + 1)[:, None] * w
         reached = np.arange(1, cap + 1)[:, None] <= used
         top = args[reached].max()
         if intensity == 1e19:
@@ -349,7 +410,7 @@ class TestHarmonicBlocks:
             monkeypatch.setattr(physcore, "_BESSEL_MAX_ARG", limit)
             results = []
             for fn in (averaged_cross_section,
-                       averaged_cross_section_per_harmonic):
+                       averaged_cross_section_squares):
                 try:
                     results.append(fn(thetas, BEAM, laser, harmonic_max=cap))
                 except QfelError as exc:        # compared by type below
@@ -381,8 +442,41 @@ class TestHarmonicBlocks:
 
         monkeypatch.setattr(physcore, "_bessel_miller", counted)
         counts = []
-        for fn in (averaged_cross_section, averaged_cross_section_per_harmonic):
+        for fn in (averaged_cross_section, averaged_cross_section_squares):
             calls.clear()
             fn(thetas, BEAM, laser, harmonic_max=60)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+
+def _fifty_digits():
+    path = os.path.join(os.path.dirname(__file__), "golden", "fifty_digits.py")
+    spec = importlib.util.spec_from_file_location("fifty_digits", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFiftyDigitForms:
+    """``tests/golden/fifty_digits.py`` evaluates the harmonic term in two
+    independent forms: from the F/G coefficient tables and spin vectors,
+    and as the sum of squares of J_{N-1} and J_{N+1} that the code sums."""
+
+    def test_sum_of_squares_equals_table_form(self):
+        # both directions, eA from 0.015 to 15, N = 1..7 and angles 1e-9
+        # from either axis; measured agreement 1.1e-41 (over 168 points)
+        fd = _fifty_digits()
+        mp = fd.mp
+        points = [(direction, intensity, theta)
+                  for direction in ("head_on", "co_propagating")
+                  for intensity in (1e19, 1e23, 1e25)
+                  for theta in (1e-9, 0.6 * math.pi, math.pi - 1e-9)]
+        points += [("co_propagating", 1e24, 0.0), ("head_on", 1e24, math.pi)]
+        for j, (direction, intensity, theta) in enumerate(points):
+            laser = LaserField(785.0, intensity)
+            beam = fd.Beam(307.0, direction, 1)
+            args = (mp.mpf(theta), 1 + j % 7, beam, mp.mpf(laser.k),
+                    mp.mpf(laser.ea))
+            table, squares = fd.table_term(*args), fd.squares_term(*args)
+            assert squares >= 0
+            assert abs(table - squares) <= mp.mpf("1e-40") * squares, j
