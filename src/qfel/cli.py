@@ -127,7 +127,7 @@ def _fmt(x):
 # little-endian 32-bit words of lookup tables: [sign d0 '.' d1]
 # [d2..d5] [d6..d9] [d10 d11 'e' exponent-sign] [e2 e1 e0 separator].  A
 # 0 byte marks the absent sign and the absent third exponent digit (and
-# pads a row prefix), and is dropped at the end.
+# pads a row prefix); each pass drops them with one bytes.translate.
 def _words(shape, *columns):
     """uint32 table over an index grid of the given shape whose four
     little-endian bytes are the columns, each broadcast against the grid."""
@@ -195,24 +195,27 @@ def _rows(columns, prefix=""):
     with every cell exactly as ``_fmt`` ('%.11e') writes it.  ``prefix``
     leads every row: one string, or an ``S`` array with one entry per row
     (its zero padding is dropped).  The kernel formats the rows in passes
-    of at most ``_BLOCK_CELLS`` cells, which bounds its temporaries."""
+    of at most ``_BLOCK_CELLS`` cells, which bounds its temporaries; the
+    last pass loses its final newline and the pass strings are joined
+    once."""
     table = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
     if not np.isfinite(table).all():
         raise DomainError("a CSV cell is outside the floating-point range")
     head = np.asarray(prefix, dtype="S").reshape(-1)
     head = head.view(np.uint8).reshape(len(head), head.itemsize)
     step = max(1, _BLOCK_CELLS // table.shape[1])
-    text = b"".join(
-        _format(table[start:start + step],
-                head[start:start + step] if len(head) > 1 else head)
-        for start in range(0, len(table), step))
-    return str(memoryview(text)[:-1], "ascii")
+    passes = [_format(table[start:start + step],
+                      head[start:start + step] if len(head) > 1 else head)
+              for start in range(0, len(table), step)] or [""]
+    passes[-1] = passes[-1][:-1]
+    return "".join(passes)
 
 
 def _format(table, head):
-    """The bytes of the rows of a finite table, each led by its row of
-    ``head`` (or by the one row ``head`` has) and ended by a newline, with
-    0 bytes dropped."""
+    """The text of the rows of a finite table, each led by its row of
+    ``head`` (or by the one row ``head`` has) and ended by a newline.  The
+    cells' four table indices come from floor divisions of m, and one
+    bytes.translate drops the 0 bytes."""
     m, e = _mantissas(np.abs(table))
     rows, cols = table.shape
     lead = -(-head.shape[1] // 4)           # words that hold the prefix
@@ -220,14 +223,16 @@ def _format(table, head):
     words[:, :lead] = 0
     words[:, :lead].view(np.uint8)[:, :head.shape[1]] = head
     cells = words[:, lead:].reshape(rows, cols, 5)
-    cells[..., 0] = _LEAD[m // 10**10 + 100 * np.signbit(table)]
-    cells[..., 1] = _QUAD[m // 10**6 % 10**4]
-    cells[..., 2] = _QUAD[m // 100 % 10**4]
-    cells[..., 3] = _TAIL[m % 100 + 100 * (e < 0)]
+    hi = m // 10**6                         # d0..d5
+    lo = m - hi * 10**6                     # d6..d11
+    top, mid = hi // 10**4, lo // 100       # d0 d1 and d6..d9
+    cells[..., 0] = _LEAD[top + 100 * np.signbit(table)]
+    cells[..., 1] = _QUAD[hi - top * 10**4]
+    cells[..., 2] = _QUAD[mid]
+    cells[..., 3] = _TAIL[lo - mid * 100 + 100 * (e < 0)]
     cells[..., 4] = _EXP[np.abs(e)]
     cells[:, -1, 4] ^= _NEWLINE
-    text = words.view(np.uint8).ravel()
-    return text[text != 0].tobytes()
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _headlines(*items):
@@ -279,7 +284,7 @@ def cmd_kinematics(config):
     lines = _header("kinematics", config)
     lines.append("# columns: energy_mev,k_prime_mev")
     lines.append(_rows((energies, kp_mev)))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + [""])
 
 
 def cmd_angular(config):
@@ -297,7 +302,7 @@ def cmd_angular(config):
     lines.append("# columns: theta_over_pi,k_prime_mev,y_avg_xsec_times_1e6,"
                  "pol_x_re,pol_x_im,pol_y_re,pol_y_im")
     lines.append(_rows(columns))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + [""])
 
 
 def cmd_tube(config):
@@ -332,7 +337,7 @@ def cmd_tube(config):
     lines.append(_rows((np.tile(prof.l_m, sections), n, prof.n_prime.ravel(),
                         photon, n / vol, photon / vol),
                        prefix=np.repeat(labels, samples)))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + [""])
 
 
 def cmd_coherence(config):
@@ -356,7 +361,7 @@ def cmd_coherence(config):
         if radiation.intensity_w_m2 > 0.0:
             lines += _headlines(("inferred coherent fraction",
                                  inferred / radiation.intensity_w_m2))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + [""])
 
 
 def cmd_limits(config):
@@ -371,7 +376,7 @@ def cmd_limits(config):
         ("gain coefficient a", a),
         ("gain length lambda_c/a [m]", gain_length),
         ("wiggling radius R", wiggling_radius(beam, laser)))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + [""])
 
 
 _COMMANDS = {
@@ -428,6 +433,9 @@ def main(argv=None):
         return 2
     except QfelError as exc:
         print(f"qfel: error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"qfel: error: out of memory: {exc}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - start
     print(f"# qfel {args.command}: wall time {elapsed:.3f} s", file=sys.stderr)

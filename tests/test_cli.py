@@ -5,6 +5,7 @@ import contextlib
 import io
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -169,6 +170,14 @@ class TestCsvCells:
     @example(table=np.array([[1e-290, 1e290, np.nextafter(1e-290, 0.0),
                               np.nextafter(1e290, np.inf), -1e-290, -1e290]]),
              prefix="12,")
+    # edges of the digit split hi = m // 10^6, lo = m - 10^6 hi: m = 10^11
+    # and 10^12 - 1, lo = 0, lo = 100000, hi % 10^4 = 0 (120000123456),
+    # and the 10^12 carry (0.99999999999996 prints as 1.00000000000e+00)
+    @example(table=np.array([[1e11, 999999999999.0, 123456000000.0],
+                             [123456100000.0, 120000123456.0,
+                              0.99999999999996]]), prefix="")
+    @example(table=np.array([[-1.234567890123e-123, 9.87654321e200],
+                             [1e-100, -1e100]]), prefix=["12345,", "3,"])
     def test_cells_equal_percent_format(self, table, prefix):
         # the array kernel writes every cell as '%.11e' does, signed zeros,
         # exact decimal ties, the 10^12 carry and the fallback range
@@ -234,6 +243,24 @@ class TestExitCodes:
         path.write_bytes(b"beam.spin = 1\n\xff\n")
         assert main(["limits", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        ("angular", "sweep.theta_points"), ("kinematics", "sweep.energy_points")])
+    def test_sweep_beyond_memory_is_3(self, command, key, capsys):
+        # 10^12 points need 7.28 TiB; the address-space cap makes numpy
+        # refuse the array at once on hosts that overcommit memory too
+        limits = resource.getrlimit(resource.RLIMIT_AS)
+        cap = 2**40 if limits[1] == resource.RLIM_INFINITY else \
+            min(2**40, limits[1])
+        resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+        try:
+            code = main([command, "--set", f"{key}=1000000000000"])
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, limits)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("qfel: error: out of memory") and \
+            err.count("\n") == 1
 
 
 def _override_values(key):
