@@ -14,6 +14,8 @@ import argparse
 import functools
 import hashlib
 import math
+import os
+import stat
 import sys
 import time
 
@@ -421,9 +423,20 @@ def main(argv=None):
             text = _COMMANDS[args.command](config)
         out_path = args.out or config["output.path"]
         if out_path:
+            data = text.encode("utf-8")
             try:
-                with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
+                # in place: a truncating open costs several times the write
+                fd = os.open(out_path, os.O_WRONLY | os.O_CREAT
+                             | getattr(os, "O_BINARY", 0), 0o666)
+                try:
+                    view = memoryview(data)
+                    while view:
+                        view = view[os.write(fd, view):]
+                    st = os.fstat(fd)
+                    if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+                        os.ftruncate(fd, len(data))
+                finally:
+                    os.close(fd)
             except OSError as exc:
                 raise ConfigError(f"cannot write the output file: {exc}")
         else:

@@ -2,12 +2,16 @@
 golden-file regression, and determinism."""
 
 import contextlib
+import functools
 import io
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
+import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -230,9 +234,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("option", [["--out", "{}"],
                                         ["--set", "output.path={}"]])
     def test_unwritable_output_is_2(self, option, tmp_path, capsys):
-        target = tmp_path / "no_such_dir" / "x.csv"
-        assert main(["limits"] + [a.format(target) for a in option]) == 2
-        assert "config error" in capsys.readouterr().err
+        # a path under a missing directory, and a directory itself
+        for target in (tmp_path / "no_such_dir" / "x.csv", tmp_path):
+            assert main(["limits"] + [a.format(target) for a in option]) == 2
+            assert "config error" in capsys.readouterr().err
 
     def test_directory_as_config_is_2(self, tmp_path, capsys):
         assert main(["limits", "--config", str(tmp_path)]) == 2
@@ -261,6 +266,126 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("qfel: error: out of memory") and \
             err.count("\n") == 1
+
+
+COMMANDS = ("kinematics", "angular", "tube", "coherence", "limits")
+
+
+@functools.lru_cache(maxsize=None)
+def fresh_bytes(command):
+    """The bytes a subcommand at its defaults writes to a new path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fresh.csv")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main([command, "--out", path]) == 0
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def device(path):
+    if not os.path.exists(path):
+        pytest.skip(f"{path} is missing on this host")
+    return path
+
+
+class TestOutputFile:
+    """--out overwrites in place; after exit 0 the file holds exactly the
+    bytes a fresh path gets, whatever was there before."""
+
+    @pytest.mark.parametrize("stale", [b"X" * (2 << 20), b"X" * 100],
+                             ids=["longer", "shorter"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_stale_file_gives_fresh_bytes(self, command, stale, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(stale)
+        assert main([command, "--out", str(path)]) == 0
+        assert path.read_bytes() == fresh_bytes(command)
+
+    def test_opened_without_truncation(self, monkeypatch, tmp_path):
+        # a regression pin on the cost, not a timing: the output path is
+        # never opened with O_TRUNC
+        path = str(tmp_path / "out.csv")
+        flags = []
+        real_open = os.open
+
+        def recording_open(file, flag, *args, **kwargs):
+            if os.fspath(file) == path:
+                flags.append(flag)
+            return real_open(file, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        assert main(["limits", "--out", path]) == 0
+        monkeypatch.undo()
+        assert flags and all(not f & os.O_TRUNC for f in flags)
+        assert all(f & os.O_WRONLY and f & os.O_CREAT for f in flags)
+
+    def test_short_writes_are_continued(self, monkeypatch, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"X" * 100000)
+        real_write = os.write
+        monkeypatch.setattr(os, "write",
+                            lambda fd, data: real_write(fd, data[:1000]))
+        assert main(["limits", "--out", str(path)]) == 0
+        monkeypatch.undo()
+        assert path.read_bytes() == fresh_bytes("limits")
+
+    def test_dev_null_exits_0(self):
+        assert main(["limits", "--out", device("/dev/null")]) == 0
+
+    def test_dev_full_is_2_and_closes_the_file(self, capsys):
+        target = device("/dev/full")
+        before = len(os.listdir("/proc/self/fd")) \
+            if os.path.isdir("/proc/self/fd") else None
+        assert main(["limits", "--out", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qfel: config error: cannot write the output "
+                              "file") and err.count("\n") == 1
+        if before is not None:
+            assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_fifo_gets_the_report(self, tmp_path):
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+        received = []
+
+        def read_all():
+            with open(fifo, "rb") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=read_all, daemon=True)
+        reader.start()
+        assert main(["limits", "--out", fifo]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [fresh_bytes("limits")]
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+    def test_symlink_updates_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"X" * 100000)
+        link.symlink_to(target)
+        assert main(["limits", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh_bytes("limits")
+
+    def test_existing_file_keeps_mode_and_inode(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"X" * 100000)
+        os.chmod(path, 0o640)
+        inode = path.stat().st_ino
+        assert main(["limits", "--out", str(path)]) == 0
+        assert path.stat().st_ino == inode
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_bytes() == fresh_bytes("limits")
+
+    @pytest.mark.skipif(not hasattr(os, "link"), reason="no hard links")
+    def test_hard_link_shows_the_new_bytes(self, tmp_path):
+        path, other = tmp_path / "out.csv", tmp_path / "other.csv"
+        path.write_bytes(b"X" * 100000)
+        os.link(path, other)
+        assert main(["limits", "--out", str(path)]) == 0
+        assert other.read_bytes() == fresh_bytes("limits")
 
 
 def _override_values(key):
