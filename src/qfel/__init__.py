@@ -15,9 +15,9 @@ from .kinematics import (CoherenceProbe, EmissionKinematics, coherence_probe,
                          coherent_intensity_from_shift, compton_energy,
                          emitted_photon_energy, solve_final_state,
                          wavelength_shift, wiggling_radius)
-from .amplitudes import (HarmonicVectors, PolarizationBasis, fg_coefficients,
-                         harmonic_vectors, outgoing_polarization,
-                         polarization_basis)
+from .amplitudes import (HarmonicVectors, PolarizationBasis,
+                         channel_components, harmonic_vectors,
+                         outgoing_polarization, polarization_basis)
 from .tube import (MultiSectionResult, TubeConfig, TubeProfile,
                    evolve_seeded, gain_coefficient, output_intensity,
                    run_multi_section)

@@ -1,14 +1,13 @@
 """Transition amplitudes and photon polarization, for one angle or an array.
 
-Closed-form coefficient tables times the Bessel factors J_{N-nu}(p'_perp R')
-of the neighbor harmonics nu = 0, +1, -1 give real components: the
-spin-keep vector is F1 e1 + i F2 e2 and the spin-flip vector
-(G1 e1 + i G2 e2) e^{i sigma phi_k} on the transverse basis at phi_k; the
-sigma = -1 table negates F2 and G1 of the sigma = +1 one.  The cross
-section needs no table (``emission``); the polarization is the
-phase-fixed unit vector along the open channel, from ``harmonic_vectors``
-in ``outgoing_polarization`` and from harmonic 1's keep components in
-the angular sweep.
+``channel_components`` weighs closed-form coefficients of the neighbor
+harmonics nu = 0, +1, -1 with the Bessel factors J_{N-nu}(p'_perp R')
+into real components: the spin-keep vector is F1 e1 + i F2 e2 and the
+spin-flip vector (G1 e1 + i G2 e2) e^{i sigma phi_k} on the transverse
+basis at phi_k.  The cross section needs no components (``emission``);
+the polarization is the phase-fixed unit vector along the open channel,
+from ``harmonic_vectors`` in ``outgoing_polarization`` and from harmonic
+1's keep components in the angular sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .beamfield import ElectronBeam, LaserField
 from .errors import ClosedChannelError, DomainError
-from .kinematics import EmissionKinematics
+from .kinematics import EmissionKinematics, wiggling_radius
 from .physcore import bessel_jn
 
 
@@ -43,16 +42,17 @@ def polarization_basis(theta, phi_k=0.0):
     return PolarizationBasis(e1=e1, e2=e2, k_hat=k_hat)
 
 
-def fg_coefficients(kin: EmissionKinematics, beam: ElectronBeam,
-                    laser: LaserField, sigma):
-    """Evaluate the twelve amplitude coefficients for one emission channel.
+def channel_components(kin: EmissionKinematics, beam: ElectronBeam,
+                       laser: LaserField, sigma, bessel):
+    """(F1, F2, G1, G2) of emission channel sigma from the Bessel rows J_N,
+    J_{N-1}, J_{N+1} at p'_perp R': the spin-keep vector is F1 e1 + i F2 e2
+    and the spin-flip vector (G1 e1 + i G2 e2) e^{i sigma phi_k}.
 
-    Returns real tables (f, g), spin-keep and spin-flip.  Each holds the
-    e1 coefficients, then the imaginary parts of the e2 coefficients,
-    both ordered by the neighbor harmonic nu = (0, sigma, -sigma) that
-    the dressed wave picks up.  Differences of large near-equal products
-    (p_z E' - p'_z E and friends) are expanded in light-cone variables to
-    keep full precision for ultrarelativistic beams.
+    Each component sums, from 0 and in that row order for either sigma,
+    a coefficient of the neighbor harmonic nu = 0, sigma, -sigma of the
+    dressed wave times its row J_{N-nu}.  Differences of large near-equal
+    products (p_z E' - p'_z E and friends) are expanded in light-cone
+    variables to keep full precision for ultrarelativistic beams.
     """
     if sigma not in (-1, 1):
         raise DomainError(f"sigma must be +1 or -1, got {sigma!r}")
@@ -62,10 +62,9 @@ def fg_coefficients(kin: EmissionKinematics, beam: ElectronBeam,
     pz = beam.pz
     pp = kin.p_perp_prime
     em = beam.energy + 1.0              # E + m
-    emp = kin.e_prime + 1.0             # E' + m
     dm = -(d0 + 1.0)                    # p_z - E - m
     dmp = -(d1 + 1.0)                   # p'_z - E' - m
-    r, rp = kin.radius, kin.radius_prime
+    r, rp = wiggling_radius(beam, laser), kin.radius_prime
     k = laser.k
 
     # p_z(E'+m) - p'_z(E+m), light-cone expanded
@@ -90,20 +89,11 @@ def fg_coefficients(kin: EmissionKinematics, beam: ElectronBeam,
     g2_s = 0.5 * k * r * pp * dm
     g2_m = -0.5 * k * rp * pp * dm
 
-    return (((f1_0, f1_s, f1_m), (f2_0, f2_s, f2_m)),
-            ((g1_0, g1_s, g1_m), (g2_0, g2_s, g2_m)))
-
-
-def table_components(table, sigma, bessel):
-    """(F1, F2, G1, G2) of channel sigma from a table of ``fg_coefficients(...,
-    sigma)`` (neighbor harmonics ordered 0, sigma, -sigma) and the rows J_N,
-    J_{N-1}, J_{N+1} at p'_perp R': the spin-keep vector is F1 e1 + i F2 e2
-    and the spin-flip vector is (G1 e1 + i G2 e2) e^{i sigma phi_k}."""
-    f, g = table
-    # table positions of nu = 0, +1, -1
+    # places in (0, sigma, -sigma) of nu = 0, +1, -1, the rows' order
     pos = (0, 1, 2) if sigma == 1 else (0, 2, 1)
     return tuple(sum(c[p] * b for p, b in zip(pos, bessel))
-                 for c in (*f, *g))
+                 for c in ((f1_0, f1_s, f1_m), (f2_0, f2_s, f2_m),
+                           (g1_0, g1_s, g1_m), (g2_0, g2_s, g2_m)))
 
 
 @dataclass(frozen=True)
@@ -123,8 +113,8 @@ def harmonic_vectors(kin: EmissionKinematics, beam: ElectronBeam,
     the transverse basis at azimuth phi_k; the flip vector carries the
     extra azimuthal phase e^{i sigma phi_k}."""
     n = kin.harmonic
-    f1, f2, g1, g2 = table_components(
-        fg_coefficients(kin, beam, laser, sigma), sigma,
+    f1, f2, g1, g2 = channel_components(
+        kin, beam, laser, sigma,
         bessel_jn((n, n - 1, n + 1), kin.p_perp_prime * kin.radius_prime))
     basis = polarization_basis(kin.theta, phi_k)
     e1, e2 = basis.e1, basis.e2

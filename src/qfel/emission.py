@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physcore
-from .amplitudes import (_keep_vector, _unit_polarization, fg_coefficients,
-                         polarization_basis, table_components)
+from .amplitudes import (_keep_vector, _unit_polarization, channel_components,
+                         polarization_basis)
 from .beamfield import ElectronBeam, LaserField
 from .errors import DomainError, NumericError
 from .kinematics import solve_final_state
@@ -47,8 +47,9 @@ def _harmonic_sum(theta, beam: ElectronBeam, laser: LaserField,
                   harmonic_max, keep_row=False):
     """(total, used) arrays of ``averaged_cross_section`` over a float or a
     1-D array of angles, then with keep_row (k', F1, F2) of harmonic 1's
-    beam-spin keep channel from one solve and table (else None), its
-    Bessel factors riding in the first block, which holds every angle."""
+    beam-spin keep channel from one solve and one ``channel_components``
+    call (else None), its Bessel factors riding in the first block, which
+    holds every angle."""
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if thetas.ndim != 1:
         raise DomainError("theta must be a float or a 1-D array")
@@ -100,10 +101,10 @@ def _harmonic_sum(theta, beam: ElectronBeam, laser: LaserField,
             terms = (pref[live] * harmonics / one_u ** 2
                      * (m2 + diff2[live] * p2
                         + u * u / (2.0 * one_u) * (m2 + mix[live] * p2)))
-            if keep_row and n == 1:     # spin -1 negates this table's F2
-                f1, f2, _, _ = table_components(fg_coefficients(
-                    kin, beam, laser, 1), beam.spin, bessel[2 * height:])
-                keep = (kin.k_prime, f1, beam.spin * f2)
+            if keep_row and n == 1:
+                f1, f2, _, _ = channel_components(kin, beam, laser, beam.spin,
+                                                  bessel[2 * height:])
+                keep = (kin.k_prime, f1, f2)
             # cumsum adds the rows one at a time in order of N, as a loop
             sums = np.cumsum(np.vstack((total[live], 0.5 * terms)), axis=0)[1:]
             stops = terms <= _TRUNCATION_RTOL * sums

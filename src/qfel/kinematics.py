@@ -61,7 +61,7 @@ def emitted_photon_energy(theta, harmonic, beam: ElectronBeam, laser: LaserField
 @dataclass(frozen=True)
 class EmissionKinematics:
     """Full final-state bundle of one harmonic channel; the float fields
-    other than the radius R are arrays when theta or harmonic is."""
+    are arrays when theta or harmonic is."""
 
     theta: float
     harmonic: int               # or an integer column of harmonics
@@ -71,7 +71,6 @@ class EmissionKinematics:
     p_perp_prime: float
     e_minus_pz_prime: float     # E' - p'_z, kept explicitly for precision
     e_plus_pz_prime: float      # E' + p'_z
-    radius: float               # R of the initial electron
     radius_prime: float         # R' of the final electron
 
 
@@ -103,7 +102,6 @@ def solve_final_state(theta, harmonic, beam: ElectronBeam, laser: LaserField):
         theta=theta, harmonic=harmonic, k_prime=kp,
         e_prime=0.5 * (s + d), pz_prime=0.5 * (s - d),
         p_perp_prime=pp, e_minus_pz_prime=d, e_plus_pz_prime=s,
-        radius=wiggling_radius(beam, laser),
         radius_prime=laser.ea / (laser.k * d))
 
 

@@ -12,7 +12,7 @@ length and its sample positions).  From there everything runs in
 mass shell with the self-consistent R' (two-point secant; the residual
 is linear in k'), the final light-cone components follow from the
 selection rules, and the polarization repeats the formulas of
-``qfel.amplitudes.fg_coefficients`` with mpmath Bessel functions.  The
+``qfel.amplitudes.channel_components`` with mpmath Bessel functions.  The
 cross section is summed with qfel's stop from either of two forms of its
 harmonic term: the squared spin vectors of those tables (``table_term``,
 the default) or the sum of squares of J_{N-1} and J_{N+1} that

@@ -15,8 +15,7 @@ import math
 import numpy as np
 
 from qfel import physcore
-from qfel.amplitudes import (fg_coefficients, outgoing_polarization,
-                             table_components)
+from qfel.amplitudes import channel_components, outgoing_polarization
 from qfel.beamfield import ElectronBeam, LaserField
 from qfel.emission import (_TRUNCATION_RTOL, DEFAULT_HARMONIC_MAX,
                            AngularSpectrum, averaged_cross_section)
@@ -183,7 +182,7 @@ def transition_rate_prefactor(kin, beam: ElectronBeam, laser: LaserField):
 
 def bessel_factors(kin):
     """J_{N-nu}(p'_perp R') for nu = 0, +1, -1 of one harmonic, the rows
-    ``table_components`` takes."""
+    ``channel_components`` takes."""
     n = kin.harmonic
     return physcore.bessel_jn((n, n - 1, n + 1),
                               kin.p_perp_prime * kin.radius_prime)
@@ -230,20 +229,20 @@ def averaged_cross_section_per_harmonic(thetas, beam: ElectronBeam,
                                         laser: LaserField, harmonic_max=8):
     """``averaged_cross_section`` over a 1-D theta array in the
     coefficient-table form, one harmonic at a time: each harmonic is
-    solved, given its Bessel factors and its coefficient table, and its
-    term is the sum over both spins of ``channel_prefactor`` times
-    F1^2 + F2^2 + G1^2 + G2^2.  Returns (value, harmonic, terms) as
-    ``_one_harmonic_at_a_time``."""
+    solved and given its Bessel factors, and its term is the sum over
+    both spins of ``channel_prefactor`` times F1^2 + F2^2 + G1^2 + G2^2,
+    one ``channel_components`` call per spin.  Returns (value, harmonic,
+    terms) as ``_one_harmonic_at_a_time``."""
     thetas = np.asarray(thetas, dtype=float)
 
     def term_of(n, live):
         kin = solve_final_state(thetas[live], n, beam, laser)
         pref = channel_prefactor(kin, beam, laser)
         bessel = bessel_factors(kin)
-        table = fg_coefficients(kin, beam, laser, 1)
         term = 0.0
         for sigma in (1, -1):
-            f1, f2, g1, g2 = table_components(table, sigma, bessel)
+            f1, f2, g1, g2 = channel_components(kin, beam, laser, sigma,
+                                                bessel)
             term = term + pref * (f1 * f1 + f2 * f2 + g1 * g1 + g2 * g2)
         return term
 

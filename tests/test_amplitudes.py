@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import bessel_factors
-from qfel.amplitudes import (fg_coefficients, harmonic_vectors,
-                             outgoing_polarization, polarization_basis,
-                             table_components)
+from qfel.amplitudes import (channel_components, harmonic_vectors,
+                             outgoing_polarization, polarization_basis)
 from qfel.beamfield import LaserField, make_beam
 from qfel.errors import ClosedChannelError, DomainError
 from qfel.kinematics import solve_final_state
@@ -35,16 +34,16 @@ class TestPolarizationBasis:
         np.testing.assert_allclose(b.k_hat, [s, 0.0, s], atol=1e-14)
 
 
-class TestCoefficientTable:
+class TestChannelComponents:
     def test_sigma_validation(self):
         kin = solve_final_state(0.9 * math.pi, 1, BEAM, LASER)
         with pytest.raises(DomainError):
-            fg_coefficients(kin, BEAM, LASER, 0)
+            channel_components(kin, BEAM, LASER, 0, bessel_factors(kin))
 
     def test_i2_entries_purely_imaginary(self):
-        # the real tables hold the imaginary parts of the e2 coefficients:
-        # at phi_k = 0 both assembled vectors project on e1 with a real
-        # amplitude and on e2 with an imaginary one
+        # the real components hold the imaginary parts of the e2
+        # coefficients: at phi_k = 0 both assembled vectors project on e1
+        # with a real amplitude and on e2 with an imaginary one
         kin = solve_final_state(0.9 * math.pi, 1, BEAM, LASER)
         for sigma in (1, -1):
             vecs = harmonic_vectors(kin, BEAM, LASER, sigma)
@@ -55,39 +54,23 @@ class TestCoefficientTable:
                 assert np.vdot(e2, v).real == 0.0
                 assert np.vdot(e2, v).imag != 0.0
 
-    def test_sigma_reflection_relations(self):
-        # flipping sigma negates the sigma-proportional entries and mirrors
-        # the neighbor-harmonic index nu, which the (0, sigma, -sigma)
-        # layout absorbs: entries at the same position are compared
-        kin = solve_final_state(0.9 * math.pi, 1, BEAM, LASER)
-        (uf1, uf2), (ug1, ug2) = fg_coefficients(kin, BEAM, LASER, 1)
-        (df1, df2), (dg1, dg2) = fg_coefficients(kin, BEAM, LASER, -1)
-        for j in range(3):
-            assert uf1[j] == pytest.approx(df1[j], rel=1e-12)
-            assert uf2[j] == pytest.approx(-df2[j], rel=1e-12)
-            assert ug1[j] == pytest.approx(-dg1[j], rel=1e-12)
-            assert ug2[j] == pytest.approx(dg2[j], rel=1e-12)
-
     @pytest.mark.parametrize("direction", ["head_on", "co_propagating"])
     @pytest.mark.parametrize("intensity", [1e19, 1e24, 1e28])
-    def test_spin_down_from_spin_up_table(self, direction, intensity):
-        # the harmonic sum builds one table for both spins: read with the
-        # sigma = -1 layout, the sigma = +1 table gives the spin-down
-        # components up to exact sign flips, so their magnitudes agree
-        # bitwise
+    def test_sigma_reflection_relations(self, direction, intensity):
+        # flipping sigma negates the sigma-proportional coefficients and
+        # mirrors the neighbor-harmonic index nu: with J_{N-1} and J_{N+1}
+        # swapped, F1 and G2 stay and F2 and G1 change sign
         laser = LaserField(785.0, intensity)
         beam = make_beam(307.0, direction=direction)
-        thetas = np.linspace(0.0, math.pi, 61)
+        thetas = np.linspace(0.05 * math.pi, 0.95 * math.pi, 7)
         for n in range(1, 12):
             kin = solve_final_state(thetas, n, beam, laser)
-            bessel = bessel_factors(kin)
-            shared = table_components(fg_coefficients(kin, beam, laser, 1),
-                                      -1, bessel)
-            own = table_components(fg_coefficients(kin, beam, laser, -1),
-                                   -1, bessel)
-            for got, want in zip(shared, own):
-                np.testing.assert_array_equal(np.abs(got).view(np.int64),
-                                              np.abs(want).view(np.int64))
+            j_n, j_lo, j_hi = bessel_factors(kin)
+            up = channel_components(kin, beam, laser, 1, (j_n, j_lo, j_hi))
+            down = channel_components(kin, beam, laser, -1,
+                                      (j_n, j_hi, j_lo))
+            for got, want, sign in zip(down, up, (1, -1, -1, 1)):
+                np.testing.assert_allclose(got, sign * want, rtol=1e-12)
 
 
 class TestHarmonicVectors:

@@ -14,10 +14,10 @@ def test_public_names():
         "LaserField", "MultiSectionResult", "NumericError",
         "PolarizationBasis", "QfelError", "TubeConfig", "TubeProfile",
         "amplitudes", "angular_spectrum", "averaged_cross_section",
-        "beamfield", "coherence_amplitude",
+        "beamfield", "channel_components", "coherence_amplitude",
         "coherence_probe", "coherent_intensity_from_shift", "compton_energy",
         "critical_density", "emission", "emitted_photon_energy", "errors",
-        "evolve_seeded", "fg_coefficients", "gain_coefficient",
+        "evolve_seeded", "gain_coefficient",
         "harmonic_vectors", "kinematics", "make_beam", "outgoing_polarization",
         "output_intensity", "physcore", "polarization_basis",
         "run_multi_section", "solve_final_state", "tube",
@@ -32,7 +32,7 @@ def test_result_fields():
         "CrossSectionPoint": ["harmonic", "value"],
         "EmissionKinematics": ["theta", "harmonic", "k_prime", "e_prime",
                                "pz_prime", "p_perp_prime", "e_minus_pz_prime",
-                               "e_plus_pz_prime", "radius", "radius_prime"],
+                               "e_plus_pz_prime", "radius_prime"],
         "MultiSectionResult": ["profile", "photon_density_m3",
                                "headline_photon_density_m3", "intensity_w_m2",
                                "headline_intensity_w_m2", "photon_energy_mev",

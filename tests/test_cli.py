@@ -27,10 +27,16 @@ from qfel.errors import ConfigError, DomainError
 from qfel.tube import run_multi_section
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-# the tube golden file is a cyclic, seeded run of 1,200 rows
-GOLDEN_SETS = {"tube": ["--set", "tube.sections=6", "--set", "tube.cycles=3",
-                        "--set", "tube.seed_density_m3=1e16",
-                        "--set", "tube.reflection_efficiency=0.7"]}
+# the --set pairs of each golden file not at the defaults: the tube file
+# is a cyclic, seeded run of 1,200 rows, and the spin-down file pins the
+# spin -1 polarization in a strong field (eA = 4.7)
+GOLDEN_SETS = {
+    "tube.csv": ["--set", "tube.sections=6", "--set", "tube.cycles=3",
+                 "--set", "tube.seed_density_m3=1e16",
+                 "--set", "tube.reflection_efficiency=0.7"],
+    "angular_spin_down.csv": ["--set", "beam.spin=-1",
+                              "--set", "laser.intensity_w_m2=1e24",
+                              "--set", "sweep.theta_points=201"]}
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -645,12 +651,19 @@ class TestGoldenFiles:
         _, text = run_cli(["angular"], tmp_path)
         self.compare(os.path.join(GOLDEN_DIR, "fig2.csv"), text)
 
+    def test_angular_sweep_spin_down(self, tmp_path):
+        golden = "angular_spin_down.csv"
+        _, text = run_cli(["angular"] + GOLDEN_SETS[golden], tmp_path)
+        self.compare(os.path.join(GOLDEN_DIR, golden), text)
+
     @pytest.mark.parametrize("command, golden", (("kinematics", "fig1.csv"),
                                                  ("angular", "fig2.csv"),
-                                                 ("tube", "tube.csv")))
+                                                 ("tube", "tube.csv"),
+                                                 ("angular",
+                                                  "angular_spin_down.csv")))
     def test_bytes_equal_golden(self, command, golden, tmp_path):
         # the comparison above forgives the 12th digit; the files do not
-        argv = [command] + GOLDEN_SETS.get(command, [])
+        argv = [command] + GOLDEN_SETS.get(golden, [])
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
         with open(os.path.join(GOLDEN_DIR, golden), "rb") as fh:
             assert (tmp_path / "out.csv").read_bytes() == fh.read()

@@ -86,8 +86,8 @@ class TestAveraged:
         assert averaged_cross_section(0.0, BEAM, wave).value == 0.0
         with pytest.raises(NumericError, match="cross section"):
             averaged_cross_section(0.25 * math.pi, BEAM, wave)
-        # the sum no longer needs k', but the sweep's harmonic-1 table
-        # (k^2 times R = 0) is not finite on the axis
+        # the sum no longer needs k', but the sweep's harmonic-1
+        # components (k^2 times R = 0) are not finite on the axis
         with pytest.raises(NumericError, match="harmonic-1"):
             angular_spectrum(BEAM, wave, np.array([0.0]))
 
@@ -152,15 +152,16 @@ class TestAngularSpectrum:
     def test_one_bessel_pass_per_block_one_table_per_sweep(
             self, monkeypatch, intensity, points):
         # each block of harmonics makes one stacked Bessel call of J_{N-1}
-        # and J_{N+1} and no final-state solve or coefficient table.  The
-        # sweep makes one harmonic-1 solve and one table for its k' and
-        # polarization, and J_1, J_0, J_2 of that solve ride as three extra
-        # rows in the first block's call; the scalar view makes neither.
+        # and J_{N+1} and no final-state solve or channel components.  The
+        # sweep makes one harmonic-1 solve and one ``channel_components``
+        # call for its k' and polarization, and J_1, J_0, J_2 of that solve
+        # ride as three extra rows in the first block's call; the scalar
+        # view and the tube gain make neither.
         # No Bessel argument here exceeds 9, so every block has the height
         # of the budget rule.
         laser = LaserField(785.0, intensity)
         thetas = np.linspace(0.0, math.pi, points)
-        bessel, solves, tables = [], [], []
+        bessel, solves, channels = [], [], []
 
         def recording(log, fn, entry):
             def recorded(*args):
@@ -176,7 +177,8 @@ class TestAngularSpectrum:
                 (qfel.amplitudes, "bessel_jn", bessel, orders),
                 (qfel.emission, "solve_final_state", solves,
                  lambda theta, harmonic, *_: (np.size(theta), harmonic)),
-                (qfel.emission, "fg_coefficients", tables, lambda *_: 1)):
+                (qfel.emission, "channel_components", channels,
+                 lambda *_: 1)):
             monkeypatch.setattr(module, name,
                                 recording(log, getattr(module, name), entry))
         cap = qfel.emission.DEFAULT_HARMONIC_MAX
@@ -196,13 +198,13 @@ class TestAngularSpectrum:
             return out
 
         angular_spectrum(BEAM, laser, thetas)
-        assert solves == [(points, 1)] and tables == [1]
+        assert solves == [(points, 1)] and channels == [1]
         sweep = blocks([1, 0, 2])
         bessel.clear()
         used = averaged_cross_section(thetas, BEAM, laser).harmonic
         assert blocks([]) == sweep
         gain_coefficient(BEAM, laser)
-        assert solves == [(points, 1)] and tables == [1]
+        assert solves == [(points, 1)] and channels == [1]
         monkeypatch.undo()
         last, height, _ = sweep[-1]
         assert last + height > used.max() and sweep[0][2] == points

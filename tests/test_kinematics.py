@@ -126,7 +126,8 @@ class TestSolver:
         beam = make_beam(307.0)
         theta = 0.9 * math.pi
         kin = solve_final_state(theta, 2, beam, LASER)
-        back = 0.5 * LASER.ea * (kin.radius_prime - kin.radius) * LASER.k
+        radius = wiggling_radius(beam, LASER)
+        back = 0.5 * LASER.ea * (kin.radius_prime - radius) * LASER.k
         lhs = kin.e_prime + kin.k_prime
         rhs = beam.energy + kin.harmonic * LASER.k - back
         assert lhs == pytest.approx(rhs, rel=1e-10)
