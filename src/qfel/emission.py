@@ -84,9 +84,9 @@ def _harmonic_sum(theta, beam: ElectronBeam, laser: LaserField,
                                 _BLOCK_ELEMENTS // live.size))
             harmonics = np.arange(n, n + height)[:, None]
             z = harmonics * w[live]
-            in_series = physcore.bessel_series_range(z[1:]).all(axis=1)
-            if not in_series.all():     # end the block before that row
-                height = 1 + int(np.argmin(in_series))
+            in_range = physcore.bessel_in_range(z[1:]).all(axis=1)
+            if not in_range.all():      # end the block before that row
+                height = 1 + int(np.argmin(in_range))
                 harmonics, z = harmonics[:height], z[:height]
             orders, args = np.ravel((harmonics - 1, harmonics + 1)), [z, z]
             if keep_row and n == 1:     # nu = 0, +1, -1 of harmonic 1
@@ -133,9 +133,8 @@ def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
     over the (H, angles) block and about 20 flops per element, then the
     sum over its rows in order of N, so every angle gets the additions and
     the stop of a sum one harmonic at a time; terms past a stop are dropped.
-    A block ends before a later row with a Bessel argument outside the
-    array series (above 9, or out of range): its scalar recurrence or its
-    error belongs only to harmonics that some angle reaches."""
+    A block ends early only before a row with an out-of-range Bessel
+    argument, whose error belongs only to harmonics some angle reaches."""
     total, used, _ = _harmonic_sum(theta, beam, laser, harmonic_max)
     if np.ndim(theta) == 0:
         used, total = int(used[0]), float(total[0])

@@ -74,9 +74,9 @@ def wave_number_natural(lambda_nm):
 #
 # Up to its cancellation threshold the ascending power series (DLMF
 # 10.2.2) is summed over the whole (orders, arguments) block at once,
-# each element stopping where its own sum converges.  The rarer elements
-# beyond it take a downward Miller recurrence normalized by
-# J_0 + 2 sum J_2m = 1 (DLMF 3.6), one order and one argument at a time.
+# each element stopping where its own sum converges.  The elements beyond
+# it take a downward Miller recurrence normalized by J_0 + 2 sum J_2m = 1
+# (DLMF 3.6), run over all of them at once, each from its own start.
 
 _BESSEL_SERIES_CUT = 9.0
 _BESSEL_MAX_ARG = 1e6
@@ -88,8 +88,9 @@ def bessel_jn(order, x):
     arguments or, when x is 2-D, over its own row of x (how a block of
     harmonics gets J_{N-1} and J_{N+1} of all its rows in one call).
 
-    For |x| <= 50 and any order the relative error is below 1e-12 away
-    from the zeros of J_n; values below the smallest float come out as 0.
+    Away from the zeros of J_n the relative error is below 1e-12 for
+    |x| <= 50 and any order, and for n <= 1e4 below 5e-10 up to |x| = 1e3
+    and 3e-9 up to 1e4; values below the smallest float come out as 0.
     |x| must stay below 1e6.  A float argument gives the same bits as
     the same element of an array, and a row the bits of its order's call.
     """
@@ -101,7 +102,7 @@ def bessel_jn(order, x):
     paired = xs.ndim == 2               # one row of arguments per order
     if xs.ndim > 2 or (paired and (np.ndim(order) != 1 or len(xs) != n.size)):
         raise DomainError("x must be a float, a 1-D array or one row per order")
-    bad = ~(np.abs(xs) < _BESSEL_MAX_ARG)
+    bad = ~bessel_in_range(xs)
     if bad.any():
         raise DomainError(
             f"Bessel argument out of supported range: {float(xs[bad][0])!r}")
@@ -115,17 +116,15 @@ def bessel_jn(order, x):
     small = ax <= _BESSEL_SERIES_CUT
     out = _bessel_series(n, np.where(small, ax, 0.0))
     if not small.all():
-        for row, nj, a, s in zip(out, n[:, 0].tolist(), ax, small):
-            row[~s] = [_bessel_miller(nj, v) for v in a[~s].tolist()]
+        out[~small] = _bessel_miller(np.broadcast_to(n, ax.shape)[~small],
+                                     ax[~small])
     out = np.where(negative & odd, -sign, sign) * out
     return out if paired else out.reshape(np.shape(order) + np.shape(x))[()]
 
 
-def bessel_series_range(x):
-    """True where ``bessel_jn`` takes x into the array series: no scalar
-    recurrence and no range error, whatever the order."""
-    ax = np.abs(x)
-    return (ax <= _BESSEL_SERIES_CUT) & (ax < _BESSEL_MAX_ARG)
+def bessel_in_range(x):
+    """True where ``bessel_jn`` accepts the argument x: |x| < 1e6, not NaN."""
+    return np.abs(x) < _BESSEL_MAX_ARG
 
 
 def _bessel_series(n, x):
@@ -149,24 +148,26 @@ def _bessel_series(n, x):
 
 
 def _bessel_miller(n, x):
-    start = int(max(n, x) + 1.5 * math.sqrt(max(n, x)) + 30)
-    if start % 2:
-        start += 1
-    jp, j = 0.0, 1e-300
-    norm = 0.0
-    result = 0.0
-    for m in range(start, 0, -1):
-        jm = (2.0 * m / x) * j - jp
-        jp, j = j, jm
-        if m - 1 == n:
-            result = j
-        if (m - 1) % 2 == 0:
-            norm += j if m - 1 == 0 else 2.0 * j
-        if abs(j) > 1e250:
-            jp *= 1e-250
-            j *= 1e-250
-            norm *= 1e-250
-            result *= 1e-250
-    if n == 0:
-        result = j
-    return result / norm
+    """J_n(x) over 1-D arrays of orders n >= 0 and arguments x > 9.  Each
+    element runs the float operations of a loop over it alone: its own even
+    start, normalization and 1e250 rescaling.  Sorted by falling start, the
+    elements already started are a prefix, and each step works on it."""
+    top = np.maximum(n, x)
+    start = (top + 1.5 * np.sqrt(top) + 30.0).astype(int)
+    start += start % 2
+    order = np.argsort(-start, kind="stable")
+    n, x, start = n[order], x[order], start[order]
+    steps = np.arange(start[0], 0, -1)
+    jp, norm, result = np.zeros((3, x.size))
+    j = np.full(x.size, 1e-300)
+    for m, k in zip(steps.tolist(),
+                    np.searchsorted(-start, -steps, "right").tolist()):
+        jp[:k], j[:k] = j[:k], (2.0 * m / x[:k]) * j[:k] - jp[:k]
+        np.copyto(result[:k], j[:k], where=n[:k] == m - 1)
+        if m % 2:
+            norm[:k] += j[:k] if m == 1 else 2.0 * j[:k]
+        if np.abs(j[:k]).max() > 1e250:
+            big = np.flatnonzero(np.abs(j[:k]) > 1e250)
+            for v in (jp, j, norm, result):
+                v[big] *= 1e-250
+    return (result / norm)[np.argsort(order)]

@@ -1,14 +1,15 @@
-"""Test-only references: for the tube closed forms a fixed-step RK4
-integrator, the right-hand side of the seeded balance equation and the
-unseeded closed form written exactly as quoted; for the tube runner the
-chain taken one sampled section profile at a time; for the zero-amplitude
-limit of the cross section the Klein-Nishina formula (rest-frame formula
-plus exact boost) and the photon content of the laser wave; for the flux
-factor the prefactor of the transition
-rate; for the blocked harmonic sum the same sum of squares taken one
-harmonic at a time, and the coefficient-table form of each term, summed
-the same way; for the angular sweep the sweep that evaluates harmonic 1
-a second time beside the sum."""
+"""Test-only references: for the Bessel recurrence above the series cut the
+Miller loop of one order and one argument; for the tube closed forms a
+fixed-step RK4 integrator, the right-hand side of the seeded balance
+equation and the unseeded closed form written exactly as quoted; for the
+tube runner the chain taken one sampled section profile at a time; for
+the zero-amplitude limit of the cross section the Klein-Nishina formula
+(rest-frame formula plus exact boost) and the photon content of the
+laser wave; for the flux factor the prefactor of the transition rate;
+for the blocked harmonic sum the same sum of squares taken one harmonic
+at a time, and the coefficient-table form of each term, summed the same
+way; for the angular sweep the sweep that evaluates harmonic 1 a second
+time beside the sum."""
 
 import math
 
@@ -178,6 +179,34 @@ def transition_rate_prefactor(kin, beam: ElectronBeam, laser: LaserField):
     return (alpha * kin.k_prime / (2.0 * math.pi) ** 3
             / (4.0 * e * ep * (e + 1.0) * (ep + 1.0))
             * ep * kin.k_prime / (kin.harmonic * laser.k * beam.e_minus_pz))
+
+
+def bessel_miller_scalar(n, x):
+    """J_n(x) for one order n >= 0 and one argument x > 9 by the downward
+    Miller recurrence normalized by J_0 + 2 sum J_2m = 1, one step at a
+    time: the loop whose float operations ``physcore._bessel_miller``
+    runs over every element at once."""
+    start = int(max(n, x) + 1.5 * math.sqrt(max(n, x)) + 30)
+    if start % 2:
+        start += 1
+    jp, j = 0.0, 1e-300
+    norm = 0.0
+    result = 0.0
+    for m in range(start, 0, -1):
+        jm = (2.0 * m / x) * j - jp
+        jp, j = j, jm
+        if m - 1 == n:
+            result = j
+        if (m - 1) % 2 == 0:
+            norm += j if m - 1 == 0 else 2.0 * j
+        if abs(j) > 1e250:
+            jp *= 1e-250
+            j *= 1e-250
+            norm *= 1e-250
+            result *= 1e-250
+    if n == 0:
+        result = j
+    return result / norm
 
 
 def bessel_factors(kin):

@@ -147,18 +147,19 @@ class TestAngularSpectrum:
                 pol[:2], [spectrum.polarization_x[j],
                           spectrum.polarization_y[j]])
 
-    @pytest.mark.parametrize("intensity", [1e19, 1e24])
+    @pytest.mark.parametrize("intensity,cap", [(1e19, 8), (1e24, 8),
+                                               (1e28, 60)])
     @pytest.mark.parametrize("points", [41, 3000])
     def test_one_bessel_pass_per_block_one_table_per_sweep(
-            self, monkeypatch, intensity, points):
+            self, monkeypatch, intensity, cap, points):
         # each block of harmonics makes one stacked Bessel call of J_{N-1}
         # and J_{N+1} and no final-state solve or channel components.  The
         # sweep makes one harmonic-1 solve and one ``channel_components``
         # call for its k' and polarization, and J_1, J_0, J_2 of that solve
         # ride as three extra rows in the first block's call; the scalar
         # view and the tube gain make neither.
-        # No Bessel argument here exceeds 9, so every block has the height
-        # of the budget rule.
+        # Every block has the height of the budget rule, also at 1e28 W/m^2,
+        # where most Bessel arguments exceed the series cut at 9.
         laser = LaserField(785.0, intensity)
         thetas = np.linspace(0.0, math.pi, points)
         bessel, solves, channels = [], [], []
@@ -181,7 +182,6 @@ class TestAngularSpectrum:
                  lambda *_: 1)):
             monkeypatch.setattr(module, name,
                                 recording(log, getattr(module, name), entry))
-        cap = qfel.emission.DEFAULT_HARMONIC_MAX
 
         def blocks(extra):
             # (first harmonic, height, angles) of each call, checking its
@@ -197,11 +197,12 @@ class TestAngularSpectrum:
                 first += height
             return out
 
-        angular_spectrum(BEAM, laser, thetas)
+        angular_spectrum(BEAM, laser, thetas, harmonic_max=cap)
         assert solves == [(points, 1)] and channels == [1]
         sweep = blocks([1, 0, 2])
         bessel.clear()
-        used = averaged_cross_section(thetas, BEAM, laser).harmonic
+        used = averaged_cross_section(thetas, BEAM, laser,
+                                      harmonic_max=cap).harmonic
         assert blocks([]) == sweep
         gain_coefficient(BEAM, laser)
         assert solves == [(points, 1)] and channels == [1]
@@ -209,10 +210,11 @@ class TestAngularSpectrum:
         last, height, _ = sweep[-1]
         assert last + height > used.max() and sweep[0][2] == points
         if points == 41:
-            assert sweep == [(1, cap, points)]
+            assert sweep[0] == (1, min(cap, 2048 // points), points)
         else:
             assert sweep[0] == (1, 1, points)
-            assert max(height for _, height, _ in sweep) > 1
+            # at 1e28 W/m^2 more than 1024 angles run to cap 60
+            assert max(h for _, h, _ in sweep) > 1 or intensity == 1e28
 
     def test_invalid_grid(self):
         with pytest.raises(DomainError):
@@ -227,9 +229,8 @@ class TestSweepOracle:
     columns, or the same exception type and message."""
 
     # cap 60 at 3000 angles is left out: 2048 // 3000 gives a first block
-    # of harmonic 1 alone, as at cap 8, while the 0.6 MeV beams' Bessel
-    # arguments above 9 take the scalar Miller recurrence there, about
-    # 20 s per side at 1e24 and 1e25 W/m^2 (and more at 1e28)
+    # of harmonic 1 alone, which cap 8 at 3000 angles already covers, and
+    # it would add about 2.5 s (0.6-0.9 s per strong-field intensity)
     @pytest.mark.parametrize("intensity,cap,points", [
         (intensity, cap, points)
         for intensity in (0.0, 1e19, 1e24, 1e25, 1e28)
@@ -321,10 +322,9 @@ class TestKleinNishinaOracle:
 class TestHarmonicBlocks:
     """The blocked harmonic sum against the same sum one harmonic at a
     time (``oracles.averaged_cross_section_squares``): equal bits in
-    every value and every harmonic count, the same exceptions and the
-    same scalar Bessel recurrences.  The coefficient-table form
-    (``oracles.averaged_cross_section_per_harmonic``) is a second,
-    independent oracle over the same grid."""
+    every value and every harmonic count, and the same exceptions.  The
+    coefficient-table form (``oracles.averaged_cross_section_per_harmonic``)
+    is a second, independent oracle over the same grid."""
 
     # (intensity W/m^2, harmonic cap, beam energy MeV, direction, spin)
     CASES = [(0.0, 8, 307.0, "co_propagating", 1),    # every term 0
@@ -337,11 +337,8 @@ class TestHarmonicBlocks:
              (1e25, 8, 307.0, "co_propagating", -1),
              (1e28, 60, 307.0, "head_on", -1)]
 
-    # at 1e28 W/m^2 most Bessel arguments exceed 9 and take the scalar
-    # Miller recurrence, about 12 s for 3000 angles to cap 60
     GRID = [(*case, points) for case in CASES
-            for points in (1, 41, 150, 3000)
-            if (case[0], points) != (1e28, 3000)]
+            for points in (1, 41, 150, 3000)]
 
     @staticmethod
     def grid(intensity, energy, direction, spin, points):
@@ -426,29 +423,6 @@ class TestHarmonicBlocks:
             outcomes.append(single)
         assert not isinstance(outcomes[0], type)
         assert outcomes[1] is DomainError
-
-    @pytest.mark.parametrize("intensity,points", [(1e26, 150), (1e28, 41)])
-    def test_no_scalar_recurrence_past_a_stop(self, monkeypatch, intensity,
-                                              points):
-        # arguments above 9 take the scalar Miller recurrence, far dearer
-        # than the array series: the blocks make exactly the scalar calls
-        # of the sum one harmonic at a time
-        laser = LaserField(785.0, intensity)
-        thetas = np.linspace(0.0, math.pi, points)
-        miller = physcore._bessel_miller
-        calls = []
-
-        def counted(n, x):
-            calls.append(n)
-            return miller(n, x)
-
-        monkeypatch.setattr(physcore, "_bessel_miller", counted)
-        counts = []
-        for fn in (averaged_cross_section, averaged_cross_section_squares):
-            calls.clear()
-            fn(thetas, BEAM, laser, harmonic_max=60)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
 
 
 def _fifty_digits():

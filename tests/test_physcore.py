@@ -7,7 +7,7 @@ import pytest
 import scipy.special
 import scipy.integrate
 
-from oracles import integrate_ode
+from oracles import bessel_miller_scalar, integrate_ode
 from qfel import physcore
 from qfel.errors import DomainError, NumericError
 
@@ -88,6 +88,20 @@ class TestBessel:
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-15 * scale + 1e-300)
 
+    @pytest.mark.parametrize("top,rtol", [(1e3, 5e-10), (1e4, 3e-9)])
+    def test_documented_large_range_against_scipy(self, top, rtol):
+        # the docstring's bounds for n, x <= top, on random grids of 60
+        # orders by 200 arguments above the series cut; |J_n| below 1e-3
+        # of its row's largest counts as next to a zero.  Worst measured
+        # over 20 such grids: 2.6e-10 to 1e3 and 1.6e-9 to 1e4.
+        rng = np.random.default_rng(int(top))
+        xs = np.sort(top - (top - 9.0) * rng.random(200))
+        orders = np.sort(rng.integers(0, int(top) + 1, 60))
+        got = physcore.bessel_jn(orders.tolist(), xs)
+        want = scipy.special.jv(orders[:, None], xs)
+        far = np.abs(want) >= 1e-3 * np.abs(want).max(axis=1, keepdims=True)
+        np.testing.assert_allclose(got[far], want[far], rtol=rtol, atol=0.0)
+
     def test_array_equals_scalar_calls(self):
         xs = np.linspace(-50.0, 50.0, 11)
         for order in (0, 1, -3, 31, 171, 600):
@@ -128,6 +142,22 @@ class TestBessel:
                 physcore.bessel_jn(orders, bad)
         with pytest.raises(DomainError):
             physcore.bessel_jn(3, np.zeros((1, 3)))
+
+    def test_miller_elements_equal_scalar_loop(self):
+        # one call whose elements above the cut start their recurrences
+        # far apart; each has the bits of the loop over it alone, the
+        # 1e250 rescaling included (n >> x)
+        rng = np.random.default_rng(2014)
+        orders = rng.integers(0, 1001, 2000)
+        xs = 1000.0 - rng.uniform(0.0, 991.0, 2000)         # (9, 1000]
+        edge = np.nextafter(9.0, 10.0)
+        orders = [*orders.tolist(), 0, 1, 169, 170, 171, 172, 600, 0, 3000]
+        xs = np.concatenate([xs, [edge] * 7, [999.5, 9.5]])
+        got = physcore.bessel_jn(orders, xs[:, None])[:, 0]
+        want = [bessel_miller_scalar(n, x)
+                for n, x in zip(orders, xs.tolist())]
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      np.array(want).view(np.int64))
 
     def test_non_integer_order_rejected(self):
         for order in (2.5, (1, 2.5), [3, 4, 0.1]):
