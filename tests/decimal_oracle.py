@@ -1,6 +1,6 @@
 """Standard-library ``decimal`` references, written apart from ``qfel``:
-the emission kinematics at 50 digits and the seeded tube closed form at
-120.
+the emission kinematics and the Bessel function J_n at 50 digits and the
+seeded tube closed form at 120.
 
 The final state is fixed by the selection rules with a self-consistent
 wiggling radius R' = eA / (k (E' - p'_z)):
@@ -25,6 +25,7 @@ c << b^2.  n' = n0 - n and N = N0 + n' are differences, which the 120
 digits absorb.
 """
 
+import math
 from decimal import Decimal, localcontext
 
 DIGITS = 50
@@ -81,6 +82,25 @@ def final_state(theta, harmonic, energy, head_on, k, ea):
         kp = k1 * f0 / (f0 - f1)
         d1, s1, _ = state(kp)
         return float(kp), float(d1), float(s1)
+
+
+def bessel_jn(n, x):
+    """J_n(x) as a float for an integer order n >= 0 and a float x >= 0,
+    from the ascending series (DLMF 10.2.2) at 50 digits.  The terms'
+    magnitudes sum to I_n(x) (DLMF 10.25.2), so rounding costs the result
+    about log10(I_n(x)/|J_n(x)|) of its digits: a few next to the zeros of
+    J_n at x <= 9, and next to none where n >> x."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        half = Decimal(x) / 2
+        term = (half ** n if n else Decimal(1)) / math.factorial(n)
+        total, m = term, 0
+        while term and (m * (n + m) <= half * half
+                        or abs(term) > abs(total) * Decimal(10) ** -DIGITS):
+            m += 1
+            term = -term * half * half / (m * (n + m))
+            total += term
+        return float(total)
 
 
 def tube_section(n0, seed, gain, length, compton_wavelength):

@@ -1,15 +1,16 @@
-"""Test-only references: for the Bessel recurrence above the series cut the
-Miller loop of one order and one argument; for the tube closed forms a
-fixed-step RK4 integrator, the right-hand side of the seeded balance
-equation and the unseeded closed form written exactly as quoted; for the
-tube runner the chain taken one sampled section profile at a time; for
-the zero-amplitude limit of the cross section the Klein-Nishina formula
-(rest-frame formula plus exact boost) and the photon content of the
-laser wave; for the flux factor the prefactor of the transition rate;
-for the blocked harmonic sum the same sum of squares taken one harmonic
-at a time, and the coefficient-table form of each term, summed the same
-way; for the angular sweep the sweep that evaluates harmonic 1 a second
-time beside the sum."""
+"""Test-only references: for the Bessel power series the loop that masks out
+each element once its own sum has converged, and for the recurrence above
+the series cut the Miller loop of one order and one argument; for the tube
+closed forms a fixed-step RK4 integrator, the right-hand side of the seeded
+balance equation and the unseeded closed form written exactly as quoted;
+for the tube runner the chain taken one sampled section profile at a time;
+for the zero-amplitude limit of the cross section the Klein-Nishina formula
+(rest-frame formula plus exact boost) and the photon content of the laser
+wave; for the flux factor the prefactor of the transition rate; for the
+blocked harmonic sum the same sum of squares taken one harmonic at a time,
+and the coefficient-table form of each term, summed the same way; for the
+angular sweep the sweep that evaluates harmonic 1 a second time beside the
+sum."""
 
 import math
 
@@ -179,6 +180,31 @@ def transition_rate_prefactor(kin, beam: ElectronBeam, laser: LaserField):
     return (alpha * kin.k_prime / (2.0 * math.pi) ** 3
             / (4.0 * e * ep * (e + 1.0) * (ep + 1.0))
             * ep * kin.k_prime / (kin.harmonic * laser.k * beam.e_minus_pz))
+
+
+def bessel_series_masked(n, x):
+    """J_n(x) by the ascending series (DLMF 10.2.2) over an (orders, 1)
+    column n >= 0 and arguments 0 <= x <= 9 of the same row count, each
+    element summing until its own term falls below 1e-17 of its sum or
+    1e-308: the loop that ``physcore._bessel_series`` runs without the
+    mask and without the absolute floor."""
+    half = 0.5 * x
+    term = total = np.empty(x.shape)
+    for row, h, nj in zip(term, half, n[:, 0].tolist()):
+        lead = min(nj, 170)             # 171! is beyond the float range
+        row[:] = h**lead / float(math.factorial(lead))
+        for j in range(lead + 1, nj + 1):
+            row *= h / j
+    minus_half2 = -(half * half)
+    summing = np.ones(term.shape, dtype=bool)
+    m = 0
+    while True:
+        m += 1
+        term = term * (minus_half2 / (m * (n + m)))
+        np.add(total, term, out=total, where=summing)
+        summing &= ~(np.abs(term) <= 1e-17 * np.abs(total) + 1e-308)
+        if m > 200 or not summing.any():
+            return total
 
 
 def bessel_miller_scalar(n, x):

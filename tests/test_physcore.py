@@ -7,8 +7,11 @@ import pytest
 import scipy.special
 import scipy.integrate
 
-from oracles import bessel_miller_scalar, integrate_ode
+import decimal_oracle
+from oracles import bessel_miller_scalar, bessel_series_masked, integrate_ode
 from qfel import physcore
+from qfel.beamfield import LaserField, make_beam
+from qfel.emission import angular_spectrum
 from qfel.errors import DomainError, NumericError
 
 
@@ -158,6 +161,67 @@ class TestBessel:
                 for n, x in zip(orders, xs.tolist())]
         np.testing.assert_array_equal(got.view(np.int64),
                                       np.array(want).view(np.int64))
+
+    def test_series_equals_masked_loop(self, monkeypatch):
+        # the series sums every element to the last step and ends on one
+        # test over all of them; each element keeps the bits of the loop
+        # that stops it at its own step, wherever |J| >= 1e-290 (below,
+        # the masked loop's 1e-308 floor ended sums early).  First a
+        # seeded grid over orders 0..400 and arguments 0..9 with the
+        # tiny and edge ones, then a (19, 150) block of a strong-field
+        # sweep: J_{N-1} and J_{N+1} of harmonics 1-8 and (1, 0, 2).
+        rng = np.random.default_rng(22)
+        orders = np.arange(401)
+        xs = np.concatenate([[0.0, 5e-324, np.nextafter(9.0, 0.0), 9.0],
+                             10.0 ** rng.uniform(-320.0, 0.0, 100),
+                             rng.uniform(0.0, 9.0, 400)])
+        got = physcore.bessel_jn(orders.tolist(), xs)
+        want = bessel_series_masked(orders[:, None],
+                                    np.broadcast_to(xs, got.shape).copy())
+        kept = np.abs(want) >= 1e-290
+        assert kept.sum() > 0.3 * kept.size
+        np.testing.assert_array_equal(got[kept].view(np.int64),
+                                      want[kept].view(np.int64))
+        blocks = []
+        series = physcore._bessel_series
+
+        def spy(n, x):
+            blocks.append((n, x.copy(), series(n, x)))
+            return blocks[-1][2]
+        monkeypatch.setattr(physcore, "_bessel_series", spy)
+        angular_spectrum(make_beam(307.0),
+                         LaserField(wavelength_nm=785.0, intensity_w_m2=3e24),
+                         np.linspace(0.0, math.pi, 150))
+        (n, x, got), = blocks
+        assert x.shape == (19, 150) and 1.0 < x.max() <= 9.0
+        want = bessel_series_masked(n, x)
+        kept = np.abs(want) >= 1e-290
+        np.testing.assert_array_equal(got[kept].view(np.int64),
+                                      want[kept].view(np.int64))
+
+    def test_tiny_normal_values_against_fifty_digits(self):
+        # results between the smallest normal float and 1e-290 keep the
+        # relative bound: 1e-14 in the series (worst measured 1.6e-15), the
+        # documented 1e-12 above its cut (6.9e-15).  An absolute 1e-308
+        # stop of the series used to take J_200(4.5) = 3.4e-305 1.7e-8 off
+        # and J_220(7) 4.4e-9.
+        rng = np.random.default_rng(2290)
+        checked = 0
+        bands = ((np.arange(150, 261, 2), 0.5, 9.0, 1e-14),
+                 (np.arange(150, 401, 3), 9.01, 50.0, 1e-12))
+        for orders, lo, hi, rtol in bands:
+            xs = rng.uniform(lo, hi, 60)
+            got = physcore.bessel_jn(orders.tolist(), xs)
+            near = (got >= np.finfo(float).tiny / 2) & (got < 1e-289)
+            for i, j in zip(*np.nonzero(near)):
+                want = decimal_oracle.bessel_jn(int(orders[i]), float(xs[j]))
+                if np.finfo(float).tiny <= want < 1e-290:
+                    assert got[i, j] == pytest.approx(want, rel=rtol, abs=0.0)
+                    checked += 1
+        assert checked > 400
+        for n, x in ((200, 4.5), (220, 7.0)):
+            assert physcore.bessel_jn(n, x) == pytest.approx(
+                decimal_oracle.bessel_jn(n, x), rel=1e-14, abs=0.0)
 
     def test_non_integer_order_rejected(self):
         for order in (2.5, (1, 2.5), [3, 4, 0.1]):
