@@ -13,8 +13,7 @@ from .errors import (ClosedChannelError, ConfigError, DomainError,
                      NumericError, QfelError)
 from .kinematics import (CoherenceProbe, EmissionKinematics, coherence_probe,
                          coherent_intensity_from_shift, compton_energy,
-                         emitted_photon_energy, solve_final_state,
-                         wavelength_shift, wiggling_radius)
+                         solve_final_state, wavelength_shift, wiggling_radius)
 from .amplitudes import (HarmonicVectors, PolarizationBasis,
                          channel_components, harmonic_vectors,
                          outgoing_polarization, polarization_basis)

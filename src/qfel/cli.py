@@ -24,10 +24,10 @@ import numpy as np
 from . import __version__, physcore
 from .beamfield import (CO_PROPAGATING, HEAD_ON, ElectronBeam, LaserField,
                         critical_density, make_beam)
-from .emission import angular_spectrum
+from .emission import DEFAULT_HARMONIC_MAX, angular_spectrum
 from .errors import ConfigError, DomainError, QfelError
 from .kinematics import (coherence_probe, coherent_intensity_from_shift,
-                         emitted_photon_energy, wiggling_radius)
+                         solve_final_state, wiggling_radius)
 from .tube import density_si_to_compton, gain_coefficient, run_multi_section
 
 _DIRECTIONS = (HEAD_ON, CO_PROPAGATING)
@@ -45,7 +45,7 @@ _SCHEMA = {
     "sweep.energy_min_mev": (float, 100.0, lambda v: v >= physcore.ELECTRON_MASS_MEV),
     "sweep.energy_max_mev": (float, 1000.0, lambda v: v >= physcore.ELECTRON_MASS_MEV),
     "sweep.energy_points": (int, 181, lambda v: v >= 1),
-    "sweep.harmonic_max": (int, 8, lambda v: v >= 1),
+    "sweep.harmonic_max": (int, DEFAULT_HARMONIC_MAX, lambda v: v >= 1),
     "tube.section_length_m": (float, 0.01, lambda v: v >= 0.0),
     "tube.sections": (int, 1, lambda v: v >= 1),
     "tube.seed_density_m3": (float, 0.0, lambda v: v >= 0.0),
@@ -281,8 +281,8 @@ def cmd_kinematics(config):
     energies = np.linspace(config["sweep.energy_min_mev"],
                            config["sweep.energy_max_mev"],
                            config["sweep.energy_points"])
-    kp_mev = physcore.from_natural_energy(emitted_photon_energy(
-        math.pi, 1, _beam(config, energy_mev=energies), laser))
+    kp_mev = physcore.from_natural_energy(solve_final_state(
+        math.pi, 1, _beam(config, energy_mev=energies), laser).k_prime)
     lines = _header("kinematics", config)
     lines.append("# columns: energy_mev,k_prime_mev")
     lines.append(_rows((energies, kp_mev)))

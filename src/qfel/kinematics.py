@@ -45,19 +45,6 @@ def compton_energy(theta, beam: ElectronBeam, k):
     return k * beam.e_minus_pz / _light_cone_denominators(theta, beam, k)[0]
 
 
-def emitted_photon_energy(theta, harmonic, beam: ElectronBeam, laser: LaserField):
-    """Photon energy at polar angle theta in harmonic channel N.
-
-    N k (E - p_z) / (E + q - (p_z + q) cos theta) with
-    q = N k + eA^2 / (2 (E - p_z)): the exact root of the selection rules.
-    Reduces to the Compton value when the laser amplitude vanishes; at
-    theta = 0 it collapses to N*k exactly.  A beam made from an array of
-    energies gives one photon energy per beam energy.  This is the k' of
-    ``solve_final_state``.
-    """
-    return solve_final_state(theta, harmonic, beam, laser).k_prime
-
-
 @dataclass(frozen=True)
 class EmissionKinematics:
     """Full final-state bundle of one harmonic channel; the float fields
@@ -79,13 +66,16 @@ def solve_final_state(theta, harmonic, beam: ElectronBeam, laser: LaserField):
 
     With E' - p'_z = (E - p_z) - k'(1 - cos theta) and the self-consistent
     R' = eA / (k (E' - p'_z)), the final mass shell is linear in k', so
-    its root is k' = N k (E - p_z) / D(q) (``emitted_photon_energy``).
-    The final light-cone components follow without subtraction:
-    E' - p'_z = (E - p_z) D(eA^2 / (2 (E - p_z))) / D(q) with D the
-    emission-energy denominator, and E' + p'_z = (1 + p'_perp^2) / (E' - p'_z)
-    from the mass shell.  Both denominators share one sin and cos of theta/2.
+    the photon energy is its root k' = N k (E - p_z) / D(q), with
+    D(q) = E + q - (p_z + q) cos theta and q = N k + eA^2 / (2 (E - p_z)).
+    k' is the Compton value at zero laser amplitude and N k exactly at
+    theta = 0.  The final light-cone components follow without subtraction:
+    E' - p'_z = (E - p_z) D(eA^2 / (2 (E - p_z))) / D(q), and
+    E' + p'_z = (1 + p'_perp^2) / (E' - p'_z) from the mass shell.  Both
+    denominators share one sin and cos of theta/2.
     An integer column of harmonics gives one row per harmonic over the
-    angles, each row with the bits of that harmonic's own call.
+    angles, each row with the bits of that harmonic's own call; a beam
+    made from an array of energies gives one k' per energy.
     """
     low = np.asarray(harmonic) < 1
     if low.any():

@@ -111,8 +111,7 @@ def bessel_jn(order, x):
                           f"{float(xs[~in_range][0])!r}")
     if not paired:
         xs = np.broadcast_to(xs.ravel(), (n.size, xs.size))
-    odd = n % 2 == 1
-    sign = np.where((n < 0) & odd, -1.0, 1.0)
+    flip = (n % 2 == 1) & ((n < 0) != (xs < 0.0))
     n = abs(n)
     ax = np.abs(xs)
     small = ax <= _BESSEL_SERIES_CUT
@@ -120,7 +119,7 @@ def bessel_jn(order, x):
     if not small.all():
         out[~small] = _bessel_miller(np.broadcast_to(n, ax.shape)[~small],
                                      ax[~small])
-    out = np.where((xs < 0.0) & odd, -sign, sign) * out
+    np.negative(out, out=out, where=flip)
     return out if paired else out.reshape(np.shape(order) + np.shape(x))[()]
 
 

@@ -16,7 +16,7 @@ def test_public_names():
         "amplitudes", "angular_spectrum", "averaged_cross_section",
         "beamfield", "channel_components", "coherence_amplitude",
         "coherence_probe", "coherent_intensity_from_shift", "compton_energy",
-        "critical_density", "emission", "emitted_photon_energy", "errors",
+        "critical_density", "emission", "errors",
         "evolve_seeded", "gain_coefficient",
         "harmonic_vectors", "kinematics", "make_beam", "outgoing_polarization",
         "output_intensity", "physcore", "polarization_basis",

@@ -255,6 +255,23 @@ class TestExitCodes:
         assert main(["limits", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_config_line_without_equals_is_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("beam.spin = 1\nbeam.energy_mev 307\n")
+        assert main(["limits", "--config", str(path)]) == 2
+        assert "bad.cfg:2: expected 'section.key = value'" \
+            in capsys.readouterr().err
+
+    def test_set_without_equals_is_2(self, capsys):
+        assert main(["limits", "--set", "beam.spin"]) == 2
+        assert "--set expects section.key=value, got 'beam.spin'" \
+            in capsys.readouterr().err
+
+    def test_threads_below_one_is_2(self, capsys):
+        # goes with the --threads flag, which is accepted and ignored
+        assert main(["limits", "--threads", "0"]) == 2
+        assert "--threads must be >= 1, got 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, key", [
         ("angular", "sweep.theta_points"), ("kinematics", "sweep.energy_points")])
     def test_sweep_beyond_memory_is_3(self, command, key, capsys):

@@ -68,6 +68,10 @@ class TestAveraged:
         with pytest.raises(DomainError):
             averaged_cross_section(3.5, BEAM, LASER)
 
+    def test_two_dimensional_theta_rejected(self):
+        with pytest.raises(DomainError, match="1-D array"):
+            averaged_cross_section(np.full((2, 3), math.pi), BEAM, LASER)
+
     def test_harmonic_cap_below_one_rejected(self):
         with pytest.raises(DomainError):
             averaged_cross_section(math.pi, BEAM, LASER, harmonic_max=0)

@@ -61,6 +61,10 @@ class TestConversions:
         with pytest.raises(DomainError):
             physcore.wave_number_natural(0.0)
 
+    def test_nonpositive_photon_energy_rejected(self):
+        with pytest.raises(DomainError, match="photon energy must be > 0"):
+            physcore.wavelength_from_photon_energy(0.0)
+
 
 class TestBessel:
     def test_against_scipy_moderate(self):

@@ -306,6 +306,10 @@ class TestCyclic:
         assert len(cyclic.warnings) == 2
         assert "Bragg" in cyclic.warnings[1]
 
+    def test_no_sections_rejected(self):
+        with pytest.raises(DomainError, match="section count must be >= 1"):
+            run_multi_section(BEAM, LASER, 0.01, sections=0)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             run_multi_section(BEAM, LASER, 0.01, 2, cycles=0, efficiency=0.5)
