@@ -4,10 +4,11 @@
 harmonics nu = 0, +1, -1 with the Bessel factors J_{N-nu}(p'_perp R')
 into real components: the spin-keep vector is F1 e1 + i F2 e2 and the
 spin-flip vector (G1 e1 + i G2 e2) e^{i sigma phi_k} on the transverse
-basis at phi_k.  The cross section needs no components (``emission``);
-the polarization is the phase-fixed unit vector along the open channel,
-from ``harmonic_vectors`` in ``outgoing_polarization`` and from harmonic
-1's keep components in the angular sweep.
+basis at phi_k.  It joins a keep half (F1, F2) and a flip half (G1, G2)
+over shared light-cone inputs.  The cross section needs no components
+(``emission``); the polarization is the phase-fixed unit vector along
+the open channel, from ``harmonic_vectors`` in ``outgoing_polarization``
+and, in the angular sweep, from harmonic 1's keep half alone.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ class PolarizationBasis:
 
 def polarization_basis(theta, phi_k=0.0):
     """Right-handed orthonormal pair transverse to the emission direction;
-    each vector ends in an axis of its three Cartesian components."""
+    each vector ends in an axis of its three Cartesian components, and
+    all three are views of one buffer."""
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = math.cos(phi_k), math.sin(phi_k)
-    e1 = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    e2 = np.stack([np.full_like(ct, -sp), np.full_like(ct, cp),
-                   np.zeros_like(ct)], axis=-1)
-    k_hat = np.stack([st * cp, st * sp, ct], axis=-1)
+    e1, e2, k_hat = np.empty((3, *np.shape(ct), 3))
+    e1[..., 0], e1[..., 1], e1[..., 2] = ct * cp, ct * sp, -st
+    e2[...] = -sp, cp, 0.0
+    k_hat[..., 0], k_hat[..., 1], k_hat[..., 2] = st * cp, st * sp, ct
     return PolarizationBasis(e1=e1, e2=e2, k_hat=k_hat)
 
 
@@ -54,46 +56,65 @@ def channel_components(kin: EmissionKinematics, beam: ElectronBeam,
     products (p_z E' - p'_z E and friends) are expanded in light-cone
     variables to keep full precision for ultrarelativistic beams.
     """
-    if sigma not in (-1, 1):
-        raise DomainError(f"sigma must be +1 or -1, got {sigma!r}")
-    ct, st = np.cos(kin.theta), np.sin(kin.theta)
-    s0, d0 = beam.e_plus_pz, beam.e_minus_pz
-    s1, d1 = kin.e_plus_pz_prime, kin.e_minus_pz_prime
-    pz = beam.pz
-    pp = kin.p_perp_prime
-    em = beam.energy + 1.0              # E + m
-    dm = -(d0 + 1.0)                    # p_z - E - m
-    dmp = -(d1 + 1.0)                   # p'_z - E' - m
-    r, rp = wiggling_radius(beam, laser), kin.radius_prime
-    k = laser.k
+    return (_keep_components(kin, beam, laser, sigma, bessel)
+            + _flip_components(kin, beam, laser, sigma, bessel))
 
-    # p_z(E'+m) - p'_z(E+m), light-cone expanded
-    x_cross = 0.5 * (s0 * d1 - d0 * s1) + 0.5 * ((s0 - s1) - (d0 - d1))
+
+def _keep_components(kin, beam, laser, sigma, bessel):
+    """(F1, F2) of ``channel_components``: the spin-keep half."""
+    ct, st, pp, em, dm, dmp, r, rp, k, s0, d0, s1, d1 = _channel_inputs(
+        kin, beam, laser, sigma)
     # (E'+m) p_z + (E+m) p'_z, light-cone expanded
     y_sum = 0.5 * (s0 * s1 - d0 * d1) + 0.5 * ((s0 + s1) - (d0 + d1))
 
     f1_0 = -ct * pp * em - st * (y_sum + 0.5 * k * k * r * rp * dm * dmp)
     f1_s = 0.5 * k * (ct * r * dm * dmp
-                      + st * pp * ((r + rp) * em - (r - rp) * pz))
+                      + st * pp * ((r + rp) * em - (r - rp) * beam.pz))
     f1_m = 0.5 * k * ct * rp * dm * dmp
+    f2_0 = -sigma * pp * em
+    f2_s = -sigma * 0.5 * k * r * dm * dmp
+    f2_m = sigma * 0.5 * k * rp * dm * dmp
+    return _weigh(sigma, bessel, (f1_0, f1_s, f1_m), (f2_0, f2_s, f2_m))
+
+
+def _flip_components(kin, beam, laser, sigma, bessel):
+    """(G1, G2) of ``channel_components``: the spin-flip half."""
+    ct, st, pp, em, dm, dmp, r, rp, k, s0, d0, s1, d1 = _channel_inputs(
+        kin, beam, laser, sigma)
+    # p_z(E'+m) - p'_z(E+m), light-cone expanded
+    x_cross = 0.5 * (s0 * d1 - d0 * s1) + 0.5 * ((s0 - s1) - (d0 - d1))
+
     g1_0 = sigma * (ct * x_cross + st * pp * (0.5 * k * k * r * rp * dm + em))
     g1_s = -0.5 * sigma * k * (ct * r * pp * dm
                                + st * (r * dm * (s1 + 1.0)
                                        - rp * (s0 + 1.0) * dmp))
     g1_m = -0.5 * sigma * k * ct * rp * pp * dm
-
-    f2_0 = -sigma * pp * em
-    f2_s = -sigma * 0.5 * k * r * dm * dmp
-    f2_m = sigma * 0.5 * k * rp * dm * dmp
     g2_0 = x_cross
     g2_s = 0.5 * k * r * pp * dm
     g2_m = -0.5 * k * rp * pp * dm
+    return _weigh(sigma, bessel, (g1_0, g1_s, g1_m), (g2_0, g2_s, g2_m))
 
-    # places in (0, sigma, -sigma) of nu = 0, +1, -1, the rows' order
+
+def _channel_inputs(kin, beam, laser, sigma):
+    """The inputs both halves of ``channel_components`` share, after the
+    sigma check: cos, sin theta, p'_perp, E + m, p_z - E - m,
+    p'_z - E' - m, R, R', k, E + p_z, E - p_z, E' + p'_z and E' - p'_z."""
+    if sigma not in (-1, 1):
+        raise DomainError(f"sigma must be +1 or -1, got {sigma!r}")
+    d0, d1 = beam.e_minus_pz, kin.e_minus_pz_prime
+    return (np.cos(kin.theta), np.sin(kin.theta), kin.p_perp_prime,
+            beam.energy + 1.0, -(d0 + 1.0), -(d1 + 1.0),
+            wiggling_radius(beam, laser), kin.radius_prime, laser.k,
+            beam.e_plus_pz, d0, kin.e_plus_pz_prime, d1)
+
+
+def _weigh(sigma, bessel, *coefficients):
+    """Each (nu = 0, sigma, -sigma) coefficient triple summed from 0 with
+    the rows J_N, J_{N-1}, J_{N+1}, whose places in it are those of
+    nu = 0, +1, -1."""
     pos = (0, 1, 2) if sigma == 1 else (0, 2, 1)
     return tuple(sum(c[p] * b for p, b in zip(pos, bessel))
-                 for c in ((f1_0, f1_s, f1_m), (f2_0, f2_s, f2_m),
-                           (g1_0, g1_s, g1_m), (g2_0, g2_s, g2_m)))
+                 for c in coefficients)
 
 
 @dataclass(frozen=True)
@@ -117,28 +138,30 @@ def harmonic_vectors(kin: EmissionKinematics, beam: ElectronBeam,
         kin, beam, laser, sigma,
         bessel_jn((n, n - 1, n + 1), kin.p_perp_prime * kin.radius_prime))
     basis = polarization_basis(kin.theta, phi_k)
-    e1, e2 = basis.e1, basis.e2
-    phase = complex(math.cos(sigma * phi_k), math.sin(sigma * phi_k))
     script_f, f_mag = _keep_vector(f1, f2, basis)
-    return HarmonicVectors(
-        script_f=script_f, f_mag=f_mag,
-        script_g=_complex(g1[..., None] * e1, g2[..., None] * e2) * phase,
-        g_mag=np.sqrt(g1 * g1 + g2 * g2), basis=basis)
+    script_g = _vector(g1, g2, basis)
+    script_g *= complex(math.cos(sigma * phi_k), math.sin(sigma * phi_k))
+    return HarmonicVectors(script_f=script_f, f_mag=f_mag, script_g=script_g,
+                           g_mag=np.sqrt(g1 * g1 + g2 * g2), basis=basis)
 
 
 def _keep_vector(f1, f2, basis: PolarizationBasis):
     """The spin-keep vector F1 e1 + i F2 e2 and its magnitude.  "+ 0.0"
     makes each zero component +0.0, which fixes the signs of the zeros
     that a polarization prints after its phase rotation."""
-    return (_complex(f1[..., None] * basis.e1 + 0.0,
-                     f2[..., None] * basis.e2 + 0.0),
-            np.sqrt(f1 * f1 + f2 * f2))
+    vec = _vector(f1, f2, basis)
+    vec += 0.0                          # adds 0.0 to each real and imag part
+    return vec, np.sqrt(f1 * f1 + f2 * f2)
 
 
-def _complex(re, im):
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
+def _vector(a, b, basis: PolarizationBasis):
+    """a e1 + i b e2, each product written straight into its part of one
+    complex array."""
+    a, b = a[..., None], b[..., None]
+    vec = np.empty(np.broadcast(a, basis.e1).shape, dtype=complex)
+    np.multiply(a, basis.e1, out=vec.real)
+    np.multiply(b, basis.e2, out=vec.imag)
+    return vec
 
 
 def outgoing_polarization(kin: EmissionKinematics, beam: ElectronBeam,

@@ -89,8 +89,8 @@ def make_beam(energy_mev, direction=HEAD_ON, spin=1, density_m3=0.0,
         raise DomainError(f"unknown beam direction {direction!r}")
     if spin not in (-1, 1):
         raise DomainError(f"spin must be +1 or -1, got {spin!r}")
-    if density_m3 < 0.0:
-        raise DomainError(f"density must be >= 0, got {density_m3}")
+    if not 0.0 <= density_m3 < math.inf:      # NaN fails every bound
+        raise DomainError(f"density must be finite and >= 0, got {density_m3}")
     with np.errstate(over="ignore"):
         e = np.asarray(physcore.to_natural_energy(energy_mev), dtype=float)
         below = e < 1.0

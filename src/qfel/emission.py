@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physcore
-from .amplitudes import (_keep_vector, _unit_polarization, channel_components,
+from .amplitudes import (_keep_components, _keep_vector, _unit_polarization,
                          polarization_basis)
 from .beamfield import ElectronBeam, LaserField
 from .errors import DomainError, NumericError
@@ -47,9 +47,10 @@ def _harmonic_sum(theta, beam: ElectronBeam, laser: LaserField,
                   harmonic_max, keep_row=False):
     """(total, used) arrays of ``averaged_cross_section`` over a float or a
     1-D array of angles, then with keep_row (k', F1, F2) of harmonic 1's
-    beam-spin keep channel from one solve and one ``channel_components``
-    call (else None), its Bessel factors riding in the first block, which
-    holds every angle."""
+    beam-spin keep channel from one solve and one call of the keep half of
+    ``channel_components``, which builds no flip components (else None),
+    its Bessel factors riding in the first block, which holds every
+    angle."""
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if thetas.ndim != 1:
         raise DomainError("theta must be a float or a 1-D array")
@@ -102,8 +103,8 @@ def _harmonic_sum(theta, beam: ElectronBeam, laser: LaserField,
                      * (m2 + diff2[live] * p2
                         + u * u / (2.0 * one_u) * (m2 + mix[live] * p2)))
             if keep_row and n == 1:
-                f1, f2, _, _ = channel_components(kin, beam, laser, beam.spin,
-                                                  bessel[2 * height:])
+                f1, f2 = _keep_components(kin, beam, laser, beam.spin,
+                                          bessel[2 * height:])
                 keep = (kin.k_prime, f1, f2)
             # cumsum adds the rows one at a time in order of N, as a loop
             sums = np.cumsum(np.vstack((total[live], 0.5 * terms)), axis=0)[1:]

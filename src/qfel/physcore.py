@@ -33,10 +33,9 @@ MC3_W_M = ELECTRON_MASS_J * SPEED_OF_LIGHT
 def to_natural_energy(e_mev):
     """Convert an energy in MeV (a float or an array) to electron-mass
     units."""
-    negative = np.asarray(e_mev) < 0.0
-    if negative.any():
-        raise DomainError(
-            f"energy must be >= 0, got {first_where(e_mev, negative)} MeV")
+    bad = ~(np.asarray(e_mev) >= 0.0)       # NaN fails the bound
+    if bad.any():
+        raise DomainError(f"energy must be >= 0, got {first_where(e_mev, bad)} MeV")
     return e_mev / ELECTRON_MASS_MEV
 
 
@@ -145,7 +144,8 @@ def _bessel_series(n, x):
     minus_half2 = -(half * half)
     term, m = total.copy(), 0
     while True:
-        steps = np.arange(m + 1, m + 5)[:, None, None]
+        # float steps: the denominators are exact, and no division casts
+        steps = np.arange(m + 1.0, m + 5.0)[:, None, None]
         for den in steps * (n + steps):
             term *= minus_half2 / den
             total += term

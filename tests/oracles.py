@@ -10,14 +10,16 @@ wave; for the flux factor the prefactor of the transition rate; for the
 blocked harmonic sum the same sum of squares taken one harmonic at a time,
 and the coefficient-table form of each term, summed the same way; for the
 angular sweep the sweep that evaluates harmonic 1 a second time beside the
-sum."""
+sum; for the polarization basis and the spin-keep vector the forms that
+stack their columns and join real and imaginary parts from temporaries."""
 
 import math
 
 import numpy as np
 
 from qfel import physcore
-from qfel.amplitudes import channel_components, outgoing_polarization
+from qfel.amplitudes import (PolarizationBasis, channel_components,
+                             outgoing_polarization)
 from qfel.beamfield import ElectronBeam, LaserField
 from qfel.emission import (_TRUNCATION_RTOL, DEFAULT_HARMONIC_MAX,
                            AngularSpectrum, averaged_cross_section)
@@ -362,3 +364,25 @@ def angular_spectrum_two_pass(beam: ElectronBeam, laser: LaserField,
     pol = outgoing_polarization(first, beam, laser, sigma, sigma)
     return AngularSpectrum(thetas=thetas, k_prime=first.k_prime, averaged=avg,
                            polarization_x=pol[:, 0], polarization_y=pol[:, 1])
+
+
+def polarization_basis_stacked(theta, phi_k=0.0):
+    """``amplitudes.polarization_basis`` with each vector stacked from its
+    three columns."""
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = math.cos(phi_k), math.sin(phi_k)
+    e1 = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    e2 = np.stack([np.full_like(ct, -sp), np.full_like(ct, cp),
+                   np.zeros_like(ct)], axis=-1)
+    k_hat = np.stack([st * cp, st * sp, ct], axis=-1)
+    return PolarizationBasis(e1=e1, e2=e2, k_hat=k_hat)
+
+
+def keep_vector_stacked(f1, f2, basis: PolarizationBasis):
+    """``amplitudes._keep_vector`` joining real and imaginary parts made as
+    temporaries."""
+    re = f1[..., None] * basis.e1 + 0.0
+    im = f2[..., None] * basis.e2 + 0.0
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out, np.sqrt(f1 * f1 + f2 * f2)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bessel_factors
-from qfel.amplitudes import (channel_components, harmonic_vectors,
+from oracles import (bessel_factors, keep_vector_stacked,
+                     polarization_basis_stacked)
+from qfel.amplitudes import (_keep_components, _keep_vector,
+                             channel_components, harmonic_vectors,
                              outgoing_polarization, polarization_basis)
 from qfel.beamfield import LaserField, make_beam
 from qfel.errors import ClosedChannelError, DomainError
@@ -32,6 +34,33 @@ class TestPolarizationBasis:
         b = polarization_basis(0.25 * math.pi, 0.0)
         s = math.sin(0.25 * math.pi)
         np.testing.assert_allclose(b.k_hat, [s, 0.0, s], atol=1e-14)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, -2.0, math.pi])
+    def test_one_buffer_equals_stacked_columns(self, phi):
+        # the basis written into one buffer and the keep vector written
+        # into the parts of one complex array keep every bit of the
+        # stacked forms, signed zeros included, for a float angle and an
+        # array of them, with F1 and F2 over many decades and +-0
+        rng = np.random.default_rng(24)
+        size = 20000
+        thetas = np.concatenate(([0.0, 0.5 * math.pi, math.pi],
+                                 rng.uniform(0.0, math.pi, size - 3)))
+        f1, f2 = (rng.choice((-1.0, 1.0), size)
+                  * 10.0 ** rng.uniform(-150.0, 150.0, size)
+                  for _ in range(2))
+        f1[:40:4], f2[1:40:4], f1[2:40:4], f2[3:40:4] = 0.0, 0.0, -0.0, -0.0
+        cases = [(thetas, f1, f2)] + [
+            (float(thetas[j]), f1[j], f2[j]) for j in range(8)]
+        for theta, a, b in cases:
+            got = polarization_basis(theta, phi)
+            want = polarization_basis_stacked(theta, phi)
+            for name in ("e1", "e2", "k_hat"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            for g, w in zip(_keep_vector(a, b, got),
+                            keep_vector_stacked(a, b, want)):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
 
 
 class TestChannelComponents:
@@ -71,6 +100,24 @@ class TestChannelComponents:
                                       (j_n, j_hi, j_lo))
             for got, want, sign in zip(down, up, (1, -1, -1, 1)):
                 np.testing.assert_allclose(got, sign * want, rtol=1e-12)
+
+    @pytest.mark.parametrize("direction", ["head_on", "co_propagating"])
+    @pytest.mark.parametrize("intensity", [1e19, 1e24, 1e28])
+    def test_keep_half_is_first_two_components(self, direction, intensity):
+        # the sweep's keep half gives F1 and F2 with the bits of the full
+        # call, for either sigma
+        laser = LaserField(785.0, intensity)
+        beam = make_beam(307.0, direction=direction)
+        thetas = np.linspace(0.05 * math.pi, 0.95 * math.pi, 7)
+        for n in range(1, 12):
+            kin = solve_final_state(thetas, n, beam, laser)
+            rows = bessel_factors(kin)
+            for sigma in (1, -1):
+                keep = _keep_components(kin, beam, laser, sigma, rows)
+                full = channel_components(kin, beam, laser, sigma, rows)
+                assert len(keep) == 2
+                for got, want in zip(keep, full[:2]):
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestHarmonicVectors:

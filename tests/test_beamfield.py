@@ -119,6 +119,19 @@ class TestMakeBeam:
         with pytest.raises(DomainError, match="got -1.0 MeV"):
             physcore.to_natural_energy(np.array([1.0, -1.0]))
 
+    def test_nan_energy_and_density_rejected(self):
+        # NaN fails every bound, so it is named here rather than surfacing
+        # later as an out-of-range Bessel argument
+        nan = float("nan")
+        for energy in (nan, np.array([307.0, nan, 0.1])):
+            with pytest.raises(DomainError, match="energy must be >= 0, got nan"):
+                make_beam(energy)
+        for energy in (307.0, np.array([307.0, 500.0])):
+            for density in (nan, math.inf, -1.0):
+                with pytest.raises(DomainError,
+                                   match="density must be finite and >= 0"):
+                    make_beam(energy, density_m3=density)
+
     def test_density_warning(self):
         laser = LaserField(785.0, 1e19)
         nc = critical_density(laser)

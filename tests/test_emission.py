@@ -158,15 +158,16 @@ class TestAngularSpectrum:
             self, monkeypatch, intensity, cap, points):
         # each block of harmonics makes one stacked Bessel call of J_{N-1}
         # and J_{N+1} and no final-state solve or channel components.  The
-        # sweep makes one harmonic-1 solve and one ``channel_components``
-        # call for its k' and polarization, and J_1, J_0, J_2 of that solve
-        # ride as three extra rows in the first block's call; the scalar
-        # view and the tube gain make neither.
+        # sweep makes one harmonic-1 solve and one keep-half call
+        # (``amplitudes._keep_components``) for its k' and polarization,
+        # and J_1, J_0, J_2 of that solve ride as three extra rows in the
+        # first block's call; the scalar view and the tube gain make
+        # neither, and nothing here calls the flip half.
         # Every block has the height of the budget rule, also at 1e28 W/m^2,
         # where most Bessel arguments exceed the series cut at 9.
         laser = LaserField(785.0, intensity)
         thetas = np.linspace(0.0, math.pi, points)
-        bessel, solves, channels = [], [], []
+        bessel, solves, channels, flips = [], [], [], []
 
         def recording(log, fn, entry):
             def recorded(*args):
@@ -182,7 +183,9 @@ class TestAngularSpectrum:
                 (qfel.amplitudes, "bessel_jn", bessel, orders),
                 (qfel.emission, "solve_final_state", solves,
                  lambda theta, harmonic, *_: (np.size(theta), harmonic)),
-                (qfel.emission, "channel_components", channels,
+                (qfel.emission, "_keep_components", channels,
+                 lambda *_: 1),
+                (qfel.amplitudes, "_flip_components", flips,
                  lambda *_: 1)):
             monkeypatch.setattr(module, name,
                                 recording(log, getattr(module, name), entry))
@@ -209,7 +212,7 @@ class TestAngularSpectrum:
                                       harmonic_max=cap).harmonic
         assert blocks([]) == sweep
         gain_coefficient(BEAM, laser)
-        assert solves == [(points, 1)] and channels == [1]
+        assert solves == [(points, 1)] and channels == [1] and flips == []
         monkeypatch.undo()
         last, height, _ = sweep[-1]
         assert last + height > used.max() and sweep[0][2] == points
