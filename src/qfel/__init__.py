@@ -14,8 +14,7 @@ from .errors import (ClosedChannelError, ConfigError, DomainError,
 from .kinematics import (CoherenceProbe, EmissionKinematics, coherence_probe,
                          coherent_intensity_from_shift, compton_energy,
                          solve_final_state, wavelength_shift, wiggling_radius)
-from .amplitudes import (HarmonicVectors, PolarizationBasis,
-                         channel_components, harmonic_vectors,
+from .amplitudes import (HarmonicVectors, PolarizationBasis, harmonic_vectors,
                          outgoing_polarization, polarization_basis)
 from .tube import (MultiSectionResult, TubeConfig, TubeProfile,
                    evolve_seeded, gain_coefficient, output_intensity,

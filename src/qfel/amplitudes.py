@@ -1,11 +1,15 @@
 """Transition amplitudes and photon polarization, for one angle or an array.
 
-``channel_components`` weighs closed-form coefficients of the neighbor
-harmonics nu = 0, +1, -1 with the Bessel factors J_{N-nu}(p'_perp R')
-into real components: the spin-keep vector is F1 e1 + i F2 e2 and the
-spin-flip vector (G1 e1 + i G2 e2) e^{i sigma phi_k} on the transverse
-basis at phi_k.  It joins a keep half (F1, F2) and a flip half (G1, G2)
-over shared light-cone inputs.  The cross section needs no components
+Harmonic N of emission channel sigma has the spin-keep vector
+F1 e1 + i F2 e2 and the spin-flip vector (G1 e1 + i G2 e2) e^{i sigma phi_k}
+on the transverse basis at phi_k.  ``_keep_components`` gives (F1, F2)
+and ``_flip_components`` (G1, G2), both from the Bessel rows J_N,
+J_{N-1}, J_{N+1} at p'_perp R': each component sums, from 0 and in that
+row order for either sigma, a coefficient of the neighbor harmonic
+nu = 0, sigma, -sigma of the dressed wave times its row J_{N-nu}.
+Differences of large near-equal products (p_z E' - p'_z E and friends)
+are expanded in light-cone variables to keep full precision for
+ultrarelativistic beams.  The cross section needs no components
 (``emission``); the polarization is the phase-fixed unit vector along
 the open channel, from ``harmonic_vectors`` in ``outgoing_polarization``
 and, in the angular sweep, from harmonic 1's keep half alone.
@@ -44,24 +48,8 @@ def polarization_basis(theta, phi_k=0.0):
     return PolarizationBasis(e1=e1, e2=e2, k_hat=k_hat)
 
 
-def channel_components(kin: EmissionKinematics, beam: ElectronBeam,
-                       laser: LaserField, sigma, bessel):
-    """(F1, F2, G1, G2) of emission channel sigma from the Bessel rows J_N,
-    J_{N-1}, J_{N+1} at p'_perp R': the spin-keep vector is F1 e1 + i F2 e2
-    and the spin-flip vector (G1 e1 + i G2 e2) e^{i sigma phi_k}.
-
-    Each component sums, from 0 and in that row order for either sigma,
-    a coefficient of the neighbor harmonic nu = 0, sigma, -sigma of the
-    dressed wave times its row J_{N-nu}.  Differences of large near-equal
-    products (p_z E' - p'_z E and friends) are expanded in light-cone
-    variables to keep full precision for ultrarelativistic beams.
-    """
-    return (_keep_components(kin, beam, laser, sigma, bessel)
-            + _flip_components(kin, beam, laser, sigma, bessel))
-
-
 def _keep_components(kin, beam, laser, sigma, bessel):
-    """(F1, F2) of ``channel_components``: the spin-keep half."""
+    """(F1, F2) of channel sigma: the spin-keep half."""
     ct, st, pp, em, dm, dmp, r, rp, k, s0, d0, s1, d1 = _channel_inputs(
         kin, beam, laser, sigma)
     # (E'+m) p_z + (E+m) p'_z, light-cone expanded
@@ -78,7 +66,7 @@ def _keep_components(kin, beam, laser, sigma, bessel):
 
 
 def _flip_components(kin, beam, laser, sigma, bessel):
-    """(G1, G2) of ``channel_components``: the spin-flip half."""
+    """(G1, G2) of channel sigma: the spin-flip half."""
     ct, st, pp, em, dm, dmp, r, rp, k, s0, d0, s1, d1 = _channel_inputs(
         kin, beam, laser, sigma)
     # p_z(E'+m) - p'_z(E+m), light-cone expanded
@@ -96,9 +84,9 @@ def _flip_components(kin, beam, laser, sigma, bessel):
 
 
 def _channel_inputs(kin, beam, laser, sigma):
-    """The inputs both halves of ``channel_components`` share, after the
-    sigma check: cos, sin theta, p'_perp, E + m, p_z - E - m,
-    p'_z - E' - m, R, R', k, E + p_z, E - p_z, E' + p'_z and E' - p'_z."""
+    """The inputs both halves share, after the sigma check: cos, sin
+    theta, p'_perp, E + m, p_z - E - m, p'_z - E' - m, R, R', k, E + p_z,
+    E - p_z, E' + p'_z and E' - p'_z."""
     if sigma not in (-1, 1):
         raise DomainError(f"sigma must be +1 or -1, got {sigma!r}")
     d0, d1 = beam.e_minus_pz, kin.e_minus_pz_prime
@@ -134,9 +122,9 @@ def harmonic_vectors(kin: EmissionKinematics, beam: ElectronBeam,
     the transverse basis at azimuth phi_k; the flip vector carries the
     extra azimuthal phase e^{i sigma phi_k}."""
     n = kin.harmonic
-    f1, f2, g1, g2 = channel_components(
-        kin, beam, laser, sigma,
-        bessel_jn((n, n - 1, n + 1), kin.p_perp_prime * kin.radius_prime))
+    bessel = bessel_jn((n, n - 1, n + 1), kin.p_perp_prime * kin.radius_prime)
+    f1, f2 = _keep_components(kin, beam, laser, sigma, bessel)
+    g1, g2 = _flip_components(kin, beam, laser, sigma, bessel)
     basis = polarization_basis(kin.theta, phi_k)
     script_f, f_mag = _keep_vector(f1, f2, basis)
     script_g = _vector(g1, g2, basis)

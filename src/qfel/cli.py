@@ -28,7 +28,7 @@ from .emission import DEFAULT_HARMONIC_MAX, angular_spectrum
 from .errors import ConfigError, DomainError, QfelError
 from .kinematics import (coherence_probe, coherent_intensity_from_shift,
                          solve_final_state, wiggling_radius)
-from .tube import density_si_to_compton, gain_coefficient, run_multi_section
+from .tube import density_compton_to_si, gain_coefficient, run_multi_section
 
 _DIRECTIONS = (HEAD_ON, CO_PROPAGATING)
 
@@ -165,25 +165,21 @@ def _mantissas(a):
 
     The scaled value a 10^(11 - e) carries two roundings (the power of ten
     and the product), at most about 2 ulp of 1e12 or 2.5e-4 in all, so
-    rint gives the correctly rounded m wherever the scaled value lies more
-    than 1e-3 from a half-integer.  The other cells, and |x| outside
-    1e-290...1e290 (subnormals included), are formatted by Python's own
-    '%.11e' and read back; zeros give m = e = 0.
+    rint gives the correctly rounded m wherever the scaled value lies at
+    or above 1e11, more than 1e-3 from a half-integer, and m stays below
+    1e12.  The other cells (log10 one off next to a power of ten, m
+    rounded up to 1e12, near-ties), and |x| outside 1e-290...1e290
+    (subnormals included), are formatted by Python's own '%.11e' and read
+    back; zeros give m = e = 0.
     """
     inside = (a >= _DECIDED[0]) & (a <= _DECIDED[1])
     safe = np.where(inside, a, 1.0)
     e = np.floor(np.log10(safe)).astype(np.int64)
     scaled = safe * _POW10[311 - e]
-    # log10 may put e one off next to a power of ten
-    off = np.flatnonzero((scaled < 1e11) | (scaled >= 1e12))
-    e.flat[off] += np.where(scaled.flat[off] < 1e11, -1, 1)
-    scaled.flat[off] = safe.flat[off] * _POW10[311 - e.flat[off]]
     m = np.rint(scaled)
     zero = a == 0.0
-    decided = (inside | zero) & (np.abs(scaled - m) < 0.5 - _TIE_WINDOW)
-    carry = m == 1e12
-    m[carry] = 1e11
-    e[carry] += 1
+    decided = ((inside | zero) & (scaled >= 1e11) & (m < 1e12)
+               & (np.abs(scaled - m) < 0.5 - _TIE_WINDOW))
     m[zero] = 0.0
     m = m.astype(np.int64)
     for i in np.flatnonzero(~decided).tolist():
@@ -335,9 +331,9 @@ def cmd_tube(config):
     sections, samples = prof.n.shape
     labels = np.array([f"{s}," for s in range(1, sections + 1)], dtype="S")
     n, photon = prof.n.ravel(), prof.photon.ravel()
-    vol = density_si_to_compton(1.0)
     lines.append(_rows((np.tile(prof.l_m, sections), n, prof.n_prime.ravel(),
-                        photon, n / vol, photon / vol),
+                        photon, density_compton_to_si(n),
+                        density_compton_to_si(photon)),
                        prefix=np.repeat(labels, samples)))
     return "\n".join(lines + [""])
 

@@ -47,10 +47,9 @@ def _harmonic_sum(theta, beam: ElectronBeam, laser: LaserField,
                   harmonic_max, keep_row=False):
     """(total, used) arrays of ``averaged_cross_section`` over a float or a
     1-D array of angles, then with keep_row (k', F1, F2) of harmonic 1's
-    beam-spin keep channel from one solve and one call of the keep half of
-    ``channel_components``, which builds no flip components (else None),
-    its Bessel factors riding in the first block, which holds every
-    angle."""
+    beam-spin keep channel from one solve and one call of
+    ``amplitudes._keep_components``, with no flip half (else None), its
+    Bessel factors riding in the first block, which holds every angle."""
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if thetas.ndim != 1:
         raise DomainError("theta must be a float or a 1-D array")

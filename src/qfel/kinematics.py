@@ -77,10 +77,11 @@ def solve_final_state(theta, harmonic, beam: ElectronBeam, laser: LaserField):
     angles, each row with the bits of that harmonic's own call; a beam
     made from an array of energies gives one k' per energy.
     """
-    low = np.asarray(harmonic) < 1
-    if low.any():
-        raise ClosedChannelError(
-            f"harmonic order must be >= 1, got {physcore.first_where(harmonic, low)}")
+    h = np.asarray(harmonic)
+    bad = ~((h >= 1) & (h < math.inf) & (h == np.floor(h)))    # NaN fails
+    if bad.any():
+        raise ClosedChannelError("harmonic order must be an integer >= 1, "
+                                 f"got {physcore.first_where(harmonic, bad)}")
     shift = laser.ea**2 / (2.0 * beam.e_minus_pz)
     d_q, d_shift = _light_cone_denominators(theta, beam,
                                             harmonic * laser.k + shift, shift)
@@ -110,8 +111,9 @@ def coherent_intensity_from_shift(measured_shift, theta, beam: ElectronBeam,
                                   radiation_wavelength_nm):
     """Invert the shift-vs-intensity linear relation for the coherent intensity
     [W/m^2] of radiation with the given wavelength."""
-    if measured_shift < 0.0:
-        raise DomainError(f"measured shift must be >= 0, got {measured_shift}")
+    if not 0.0 <= measured_shift < math.inf:           # NaN fails
+        raise DomainError(
+            f"measured shift must be finite and >= 0, got {measured_shift}")
     if measured_shift == 0.0:
         return 0.0
     ref = LaserField(wavelength_nm=radiation_wavelength_nm, intensity_w_m2=1.0)

@@ -134,14 +134,13 @@ def _bessel_series(n, x):
     T_m.  Terms fall past it (while they grow, |T_m| <= (m + 1) |t_m|), so
     each is below 1e-17 |T_m| < 2^-54 |T_m|, half an ulp, and keeps T_m."""
     half = 0.5 * x
+    square = half * half
     lead = np.minimum(n, 170)           # 171! is beyond the float range
     total = np.power(half, lead) / _FACTORIALS[lead]
-    for row, h, nj in zip(total, half, n[:, 0].tolist()):
-        if nj == 2:                     # numpy's h**2, which pow can miss
-            row[:] = h * h / 2.0
-        for j in range(171, nj + 1):
-            row *= h / j
-    minus_half2 = -(half * half)
+    np.copyto(total, square / 2.0, where=n == 2)    # pow can miss h*h
+    for j in range(171, int(n.max()) + 1):
+        np.multiply(total, half / j, out=total, where=n >= j)
+    minus_half2 = -square
     term, m = total.copy(), 0
     while True:
         # float steps: the denominators are exact, and no division casts

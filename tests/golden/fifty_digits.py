@@ -11,8 +11,8 @@ length and its sample positions).  From there everything runs in
 50-digit ``mpmath``: the photon energy is the root of the selection-rule
 mass shell with the self-consistent R' (two-point secant; the residual
 is linear in k'), the final light-cone components follow from the
-selection rules, and the polarization repeats the formulas of
-``qfel.amplitudes.channel_components`` with mpmath Bessel functions.  The
+selection rules, and the polarization repeats the formulas of the keep
+and flip halves of ``qfel.amplitudes`` with mpmath Bessel functions.  The
 cross section is summed with qfel's stop from either of two forms of its
 harmonic term: the squared spin vectors of those tables (``table_term``,
 the default) or the sum of squares of J_{N-1} and J_{N+1} that

@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from qfel import physcore
-from qfel.amplitudes import (PolarizationBasis, channel_components,
-                             outgoing_polarization)
+from qfel.amplitudes import (PolarizationBasis, _flip_components,
+                             _keep_components, outgoing_polarization)
 from qfel.beamfield import ElectronBeam, LaserField
 from qfel.emission import (_TRUNCATION_RTOL, DEFAULT_HARMONIC_MAX,
                            AngularSpectrum, averaged_cross_section)
@@ -239,7 +239,7 @@ def bessel_miller_scalar(n, x):
 
 def bessel_factors(kin):
     """J_{N-nu}(p'_perp R') for nu = 0, +1, -1 of one harmonic, the rows
-    ``channel_components`` takes."""
+    the keep and flip halves of ``qfel.amplitudes`` take."""
     n = kin.harmonic
     return physcore.bessel_jn((n, n - 1, n + 1),
                               kin.p_perp_prime * kin.radius_prime)
@@ -288,8 +288,8 @@ def averaged_cross_section_per_harmonic(thetas, beam: ElectronBeam,
     coefficient-table form, one harmonic at a time: each harmonic is
     solved and given its Bessel factors, and its term is the sum over
     both spins of ``channel_prefactor`` times F1^2 + F2^2 + G1^2 + G2^2,
-    one ``channel_components`` call per spin.  Returns (value, harmonic,
-    terms) as ``_one_harmonic_at_a_time``."""
+    one call of each half per spin.  Returns (value, harmonic, terms) as
+    ``_one_harmonic_at_a_time``."""
     thetas = np.asarray(thetas, dtype=float)
 
     def term_of(n, live):
@@ -298,8 +298,9 @@ def averaged_cross_section_per_harmonic(thetas, beam: ElectronBeam,
         bessel = bessel_factors(kin)
         term = 0.0
         for sigma in (1, -1):
-            f1, f2, g1, g2 = channel_components(kin, beam, laser, sigma,
-                                                bessel)
+            f1, f2, g1, g2 = (
+                _keep_components(kin, beam, laser, sigma, bessel)
+                + _flip_components(kin, beam, laser, sigma, bessel))
             term = term + pref * (f1 * f1 + f2 * f2 + g1 * g1 + g2 * g2)
         return term
 

@@ -144,8 +144,8 @@ def test_criterion_06_forward_polarization():
     First-order limit of the spin +1 flip channel (N = 1, phi_k = 0,
     mass m = 1, D = E - p_z, d' = E' - p'_z).  With p'_perp = k' eps and Bessel
     argument x = k' R' eps, J_0 ~ 1, J_1 ~ x/2 and J_2 = O(eps^2).  In
-    ``channel_components`` every nu = sigma entry carries sin(theta) or
-    p'_perp, so the flip vector is (-G1, G2, 0) with
+    ``amplitudes._flip_components`` every nu = sigma entry carries
+    sin(theta) or p'_perp, so the flip vector is (-G1, G2, 0) with
     G1 = g1_s + g1_0 x/2 and G2 = g2_s + g2_0 x/2 = i B, G1 and B real.
     Its overlaps are <(x -+ i y)/sqrt 2 | pol> ~ -(G1 +- B).  Using
     s' d' = 1 on the axis, R = eA/(k D), R' = eA/(k d') and

@@ -7,8 +7,9 @@ import pytest
 
 from oracles import (bessel_factors, keep_vector_stacked,
                      polarization_basis_stacked)
-from qfel.amplitudes import (_keep_components, _keep_vector,
-                             channel_components, harmonic_vectors,
+import qfel.amplitudes
+from qfel.amplitudes import (_flip_components, _keep_components,
+                             _keep_vector, harmonic_vectors,
                              outgoing_polarization, polarization_basis)
 from qfel.beamfield import LaserField, make_beam
 from qfel.errors import ClosedChannelError, DomainError
@@ -66,8 +67,9 @@ class TestPolarizationBasis:
 class TestChannelComponents:
     def test_sigma_validation(self):
         kin = solve_final_state(0.9 * math.pi, 1, BEAM, LASER)
-        with pytest.raises(DomainError):
-            channel_components(kin, BEAM, LASER, 0, bessel_factors(kin))
+        for half in (_keep_components, _flip_components):
+            with pytest.raises(DomainError):
+                half(kin, BEAM, LASER, 0, bessel_factors(kin))
 
     def test_i2_entries_purely_imaginary(self):
         # the real components hold the imaginary parts of the e2
@@ -95,32 +97,31 @@ class TestChannelComponents:
         for n in range(1, 12):
             kin = solve_final_state(thetas, n, beam, laser)
             j_n, j_lo, j_hi = bessel_factors(kin)
-            up = channel_components(kin, beam, laser, 1, (j_n, j_lo, j_hi))
-            down = channel_components(kin, beam, laser, -1,
-                                      (j_n, j_hi, j_lo))
+            up, down = (_keep_components(kin, beam, laser, sigma, rows)
+                        + _flip_components(kin, beam, laser, sigma, rows)
+                        for sigma, rows in ((1, (j_n, j_lo, j_hi)),
+                                            (-1, (j_n, j_hi, j_lo))))
             for got, want, sign in zip(down, up, (1, -1, -1, 1)):
                 np.testing.assert_allclose(got, sign * want, rtol=1e-12)
 
-    @pytest.mark.parametrize("direction", ["head_on", "co_propagating"])
-    @pytest.mark.parametrize("intensity", [1e19, 1e24, 1e28])
-    def test_keep_half_is_first_two_components(self, direction, intensity):
-        # the sweep's keep half gives F1 and F2 with the bits of the full
-        # call, for either sigma
-        laser = LaserField(785.0, intensity)
-        beam = make_beam(307.0, direction=direction)
-        thetas = np.linspace(0.05 * math.pi, 0.95 * math.pi, 7)
-        for n in range(1, 12):
-            kin = solve_final_state(thetas, n, beam, laser)
-            rows = bessel_factors(kin)
-            for sigma in (1, -1):
-                keep = _keep_components(kin, beam, laser, sigma, rows)
-                full = channel_components(kin, beam, laser, sigma, rows)
-                assert len(keep) == 2
-                for got, want in zip(keep, full[:2]):
-                    assert got.tobytes() == want.tobytes()
-
 
 class TestHarmonicVectors:
+    def test_one_bessel_call_and_one_call_per_half(self, monkeypatch):
+        # the vectors take their rows J_N, J_{N-1}, J_{N+1} from one
+        # Bessel call and pass them to each half once
+        calls = []
+        for name in ("bessel_jn", "_keep_components", "_flip_components"):
+            fn = getattr(qfel.amplitudes, name)
+
+            def recorded(*args, name=name, fn=fn):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(qfel.amplitudes, name, recorded)
+        thetas = np.linspace(0.05 * math.pi, 0.95 * math.pi, 7)
+        harmonic_vectors(solve_final_state(thetas, 3, BEAM, LASER),
+                         BEAM, LASER, -1)
+        assert calls == ["bessel_jn", "_keep_components", "_flip_components"]
+
     def test_vectors_transverse(self):
         kin = solve_final_state(0.8 * math.pi, 1, BEAM, LASER)
         vecs = harmonic_vectors(kin, BEAM, LASER, 1)

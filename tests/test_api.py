@@ -14,7 +14,7 @@ def test_public_names():
         "LaserField", "MultiSectionResult", "NumericError",
         "PolarizationBasis", "QfelError", "TubeConfig", "TubeProfile",
         "amplitudes", "angular_spectrum", "averaged_cross_section",
-        "beamfield", "channel_components", "coherence_amplitude",
+        "beamfield", "coherence_amplitude",
         "coherence_probe", "coherent_intensity_from_shift", "compton_energy",
         "critical_density", "emission", "errors",
         "evolve_seeded", "gain_coefficient",

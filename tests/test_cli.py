@@ -182,7 +182,8 @@ class TestCsvCells:
              prefix="12,")
     # edges of the digit split hi = m // 10^6, lo = m - 10^6 hi: m = 10^11
     # and 10^12 - 1, lo = 0, lo = 100000, hi % 10^4 = 0 (120000123456),
-    # and the 10^12 carry (0.99999999999996 prints as 1.00000000000e+00)
+    # and m rounding up to 10^12 (0.99999999999996 prints as
+    # 1.00000000000e+00), which '%.11e' decides
     @example(table=np.array([[1e11, 999999999999.0, 123456000000.0],
                              [123456100000.0, 120000123456.0,
                               0.99999999999996]]), prefix="")
@@ -190,8 +191,9 @@ class TestCsvCells:
                              [1e-100, -1e100]]), prefix=["12345,", "3,"])
     def test_cells_equal_percent_format(self, table, prefix):
         # the array kernel writes every cell as '%.11e' does, signed zeros,
-        # exact decimal ties, the 10^12 carry and the fallback range
-        # included; a prefix list gives each row its own, zero-padded entry
+        # exact decimal ties, mantissas next to a power of ten and the
+        # fallback range included; a prefix list gives each row its own,
+        # zero-padded entry
         if isinstance(prefix, list):
             prefix = prefix[:len(table)]
             assert _rows(table.T, np.array(prefix, dtype="S")) == \

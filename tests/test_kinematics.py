@@ -144,6 +144,15 @@ class TestSolver:
         with pytest.raises(ClosedChannelError):
             solve_final_state(math.pi, 0, beam, LASER)
 
+    @pytest.mark.parametrize("harmonic", [1.5, math.nan, math.inf,
+                                          np.array([[1], [2.5]])])
+    def test_non_integer_harmonic_rejected(self, harmonic):
+        # a harmonic between integers does not exist, and NaN fails the
+        # bound instead of giving a NaN photon energy
+        with pytest.raises(ClosedChannelError, match="an integer >= 1"):
+            solve_final_state(0.9 * math.pi, harmonic, make_beam(307.0),
+                              LASER)
+
 
 class TestWavelengthShift:
     BEAM = make_beam(5.135, direction=CO_PROPAGATING)
@@ -176,6 +185,11 @@ class TestWavelengthShift:
             coherent_intensity_from_shift(-1e-3, math.pi, self.BEAM, 0.8707)
         assert coherent_intensity_from_shift(0.0, math.pi, self.BEAM,
                                              0.8707) == 0.0
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            coherent_intensity_from_shift(shift, math.pi, self.BEAM, 0.8707)
 
     def test_inversion_on_axis_rejected(self):
         # at theta = 0 the shift does not depend on the intensity
