@@ -4,8 +4,10 @@ Subcommands: kinematics (forward photon energy vs beam energy), angular
 (cross-section sweep over the emission angle), tube (population profile
 and headline intensities), coherence (wavelength-shift diagnostics), and
 limits (derived scenario quantities).  Output is CSV with '#' comment
-metadata, written to --out or stdout.  Identical configurations produce
-byte-identical output.
+metadata, written to --out or stdout.  Each ``cmd_*`` returns its body
+lines, and ``main`` writes the same header before every one: version and
+subcommand, config sha256, and the config echo.  Identical configurations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -65,12 +67,8 @@ _SCHEMA = {
 def _coerce(key, raw):
     typ = _SCHEMA[key][0]
     try:
-        if typ is int:
-            return int(raw, 0) if isinstance(raw, str) else int(raw)
-        if typ is float:
-            return float(raw)
-        return str(raw)
-    except (TypeError, ValueError):
+        return int(raw, 0) if typ is int else typ(raw)
+    except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {typ.__name__}")
 
 
@@ -241,22 +239,14 @@ def _headlines(*items):
     return [f"# headline: {label} = {_fmt(value)}" for label, value in items]
 
 
-def _echo_lines(config):
-    lines = []
-    for key in sorted(config):
-        value = config[key]
-        text = _fmt(value) if isinstance(value, float) else str(value)
-        lines.append(f"{key} = {text}")
-    return lines
-
-
 def _header(command, config):
-    echo = _echo_lines(config)
+    """The frame every report opens with: version and subcommand, the
+    sha256 of the config echo, and the echo itself."""
+    echo = [f"{key} = {_fmt(value) if isinstance(value, float) else value}"
+            for key, value in sorted(config.items())]
     digest = hashlib.sha256("\n".join(echo).encode("utf-8")).hexdigest()
-    lines = [f"# qfel {__version__} {command}",
-             f"# config sha256 {digest}"]
-    lines.extend(f"# {line}" for line in echo)
-    return lines
+    return [f"# qfel {__version__} {command}", f"# config sha256 {digest}",
+            *(f"# {line}" for line in echo)]
 
 
 def _laser(config):
@@ -279,10 +269,7 @@ def cmd_kinematics(config):
                            config["sweep.energy_points"])
     kp_mev = physcore.from_natural_energy(solve_final_state(
         math.pi, 1, _beam(config, energy_mev=energies), laser).k_prime)
-    lines = _header("kinematics", config)
-    lines.append("# columns: energy_mev,k_prime_mev")
-    lines.append(_rows((energies, kp_mev)))
-    return "\n".join(lines + [""])
+    return ["# columns: energy_mev,k_prime_mev", _rows((energies, kp_mev))]
 
 
 def cmd_angular(config):
@@ -296,11 +283,8 @@ def cmd_angular(config):
                physcore.from_natural_energy(spec.k_prime), 1e6 * spec.averaged,
                spec.polarization_x.real, spec.polarization_x.imag,
                spec.polarization_y.real, spec.polarization_y.imag)
-    lines = _header("angular", config)
-    lines.append("# columns: theta_over_pi,k_prime_mev,y_avg_xsec_times_1e6,"
-                 "pol_x_re,pol_x_im,pol_y_re,pol_y_im")
-    lines.append(_rows(columns))
-    return "\n".join(lines + [""])
+    return ["# columns: theta_over_pi,k_prime_mev,y_avg_xsec_times_1e6,"
+            "pol_x_re,pol_x_im,pol_y_re,pol_y_im", _rows(columns)]
 
 
 def cmd_tube(config):
@@ -311,7 +295,7 @@ def cmd_tube(config):
         beam, laser, config["tube.section_length_m"], config["tube.sections"],
         seed_m3=config["tube.seed_density_m3"], cycles=config["tube.cycles"],
         efficiency=config["tube.reflection_efficiency"])
-    lines = _header("tube", config) + _headlines(
+    lines = _headlines(
         ("forward photon energy [MeV]", result.photon_energy_mev),
         ("gain coefficient a", result.gain),
         ("gain length lambda_c/a [m]", result.gain_length_m),
@@ -335,7 +319,7 @@ def cmd_tube(config):
                         photon, density_compton_to_si(n),
                         density_compton_to_si(photon)),
                        prefix=np.repeat(labels, samples)))
-    return "\n".join(lines + [""])
+    return lines
 
 
 def cmd_coherence(config):
@@ -347,7 +331,7 @@ def cmd_coherence(config):
         wavelength_nm=config["coherence.radiation_wavelength_nm"],
         intensity_w_m2=config["coherence.radiation_intensity_w_m2"])
     probe = coherence_probe(theta, beam, radiation)
-    lines = _header("coherence", config) + _headlines(
+    lines = _headlines(
         ("emission wavelength, zero amplitude [nm]", probe.lambda0_nm),
         ("emission wavelength, shifted [nm]", probe.lambda_nm),
         ("fractional wavelength shift", probe.shift))
@@ -359,7 +343,7 @@ def cmd_coherence(config):
         if radiation.intensity_w_m2 > 0.0:
             lines += _headlines(("inferred coherent fraction",
                                  inferred / radiation.intensity_w_m2))
-    return "\n".join(lines + [""])
+    return lines
 
 
 def cmd_limits(config):
@@ -367,14 +351,13 @@ def cmd_limits(config):
     laser = _laser(config)
     beam = _beam(config, laser=laser)
     a, gain_length = gain_coefficient(beam, laser)
-    lines = _header("limits", config) + _headlines(
+    return _headlines(
         ("coherence amplitude eA", laser.ea),
         ("laser photon energy [m_e]", laser.k),
         ("critical density [1/m^3]", critical_density(laser)),
         ("gain coefficient a", a),
         ("gain length lambda_c/a [m]", gain_length),
         ("wiggling radius R", wiggling_radius(beam, laser)))
-    return "\n".join(lines + [""])
 
 
 _COMMANDS = {
@@ -416,7 +399,8 @@ def main(argv=None):
         # a result beyond the float range ends in the DomainError of the
         # output check, never in a numpy warning
         with np.errstate(all="ignore"):
-            text = _COMMANDS[args.command](config)
+            text = "\n".join(_header(args.command, config)
+                              + _COMMANDS[args.command](config) + [""])
         out_path = args.out or config["output.path"]
         if out_path:
             data = text.encode("utf-8")

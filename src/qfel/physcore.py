@@ -88,6 +88,7 @@ def bessel_jn(order, x):
     a 1-D sequence of orders gives one row per order, over the same
     arguments or, when x is 2-D, over its own row of x (how a block of
     harmonics gets J_{N-1} and J_{N+1} of all its rows in one call).
+    Any other order, an empty sequence included, raises DomainError.
 
     Away from the zeros of J_n the relative error is below 1e-12 for
     |x| <= 50 and any order, and for n <= 1e4 below 5e-10 up to |x| = 1e3
@@ -97,8 +98,11 @@ def bessel_jn(order, x):
     its order's call.
     """
     orders = np.atleast_1d(order).tolist()
-    n = np.array([int(o) for o in orders])[:, None]     # one row per order
-    if n[:, 0].tolist() != orders:
+    try:                                # one row per order
+        n = np.array([int(o) for o in orders], dtype=np.int64)[:, None]
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or not orders or n[:, 0].tolist() != orders:
         raise DomainError(f"order must be an integer, got {order!r}")
     xs = np.asarray(x, dtype=float)
     paired = xs.ndim == 2               # one row of arguments per order

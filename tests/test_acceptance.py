@@ -22,7 +22,7 @@ from qfel import physcore
 from qfel.beamfield import (CO_PROPAGATING, LaserField, coherence_amplitude,
                             critical_density, make_beam)
 from qfel.amplitudes import harmonic_vectors, outgoing_polarization
-from qfel.cli import cmd_angular, cmd_kinematics, main, parse_config
+from qfel.cli import cmd_kinematics, main, parse_config
 from qfel.emission import averaged_cross_section
 from qfel.kinematics import (coherence_probe, coherent_intensity_from_shift,
                              compton_energy, solve_final_state,
@@ -73,7 +73,7 @@ def test_criterion_02_forward_photon_energy():
 
 def test_criterion_03_energy_sweep():
     config = parse_config(None, [])
-    rows = [line for line in cmd_kinematics(config).splitlines()
+    rows = [line for line in "\n".join(cmd_kinematics(config)).splitlines()
             if not line.startswith("#")]
     kps = [float(r.split(",")[1]) for r in rows]
     increasing = all(b > a for a, b in zip(kps, kps[1:]))

@@ -150,6 +150,15 @@ class TestHarmonicVectors:
             assert vecs.g_mag < 1e-12 * vecs.f_mag
             assert vecs.f_mag > 0.0
 
+    def test_column_of_harmonics_is_domain_error(self):
+        # the kinematics take a column of harmonics; the vectors take one
+        kin = solve_final_state(np.linspace(0.1, 3.0, 4), np.array([[1], [2]]),
+                                BEAM, LASER)
+        with pytest.raises(DomainError, match="order must be an integer"):
+            harmonic_vectors(kin, BEAM, LASER, 1)
+        with pytest.raises(DomainError, match="order must be an integer"):
+            outgoing_polarization(kin, BEAM, LASER, 1, 1)
+
     def test_spin_asymmetry_is_small(self):
         # the laser helicity distinguishes the two electron spin labels,
         # but only through the tiny neighbor-harmonic Bessel weights

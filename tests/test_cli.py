@@ -28,9 +28,11 @@ from qfel.tube import run_multi_section
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 # the --set pairs of each golden file not at the defaults: the tube file
-# is a cyclic, seeded run of 1,200 rows, and the spin-down file pins the
-# spin -1 polarization in a strong field (eA = 4.7)
+# is a cyclic, seeded run of 1,200 rows, the spin-down file pins the
+# spin -1 polarization in a strong field (eA = 4.7), and the coherence
+# file's measured shift adds the inferred-intensity headlines
 GOLDEN_SETS = {
+    "coherence.csv": ["--set", "coherence.measured_shift=2.77e-4"],
     "tube.csv": ["--set", "tube.sections=6", "--set", "tube.cycles=3",
                  "--set", "tube.seed_density_m3=1e16",
                  "--set", "tube.reflection_efficiency=0.7"],
@@ -679,7 +681,10 @@ class TestGoldenFiles:
                                                  ("angular", "fig2.csv"),
                                                  ("tube", "tube.csv"),
                                                  ("angular",
-                                                  "angular_spin_down.csv")))
+                                                  "angular_spin_down.csv"),
+                                                 ("limits", "limits.csv"),
+                                                 ("coherence",
+                                                  "coherence.csv")))
     def test_bytes_equal_golden(self, command, golden, tmp_path):
         # the comparison above forgives the 12th digit; the files do not
         argv = [command] + GOLDEN_SETS.get(golden, [])

@@ -232,6 +232,16 @@ class TestBessel:
             with pytest.raises(DomainError):
                 physcore.bessel_jn(order, 1.0)
 
+    @pytest.mark.parametrize("order", ["a", math.nan, math.inf, None,
+                                       [[1, 2]], 2**70, []],
+                             ids=["text", "nan", "inf", "none", "2d",
+                                  "beyond_int64", "empty"])
+    def test_unconvertible_order_is_domain_error(self, order):
+        # text, NaN and inf, no value, a 2-D sequence, an order beyond
+        # int64 and no order at all: none may escape as another exception
+        with pytest.raises(DomainError, match="order must be an integer"):
+            physcore.bessel_jn(order, 1.0)
+
     def test_negative_order_reflection(self):
         for x in (0.7, 3.3, 17.0):
             for order in (1, 2, 3):
