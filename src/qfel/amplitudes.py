@@ -122,6 +122,9 @@ def harmonic_vectors(kin: EmissionKinematics, beam: ElectronBeam,
     the transverse basis at azimuth phi_k; the flip vector carries the
     extra azimuthal phase e^{i sigma phi_k}."""
     n = kin.harmonic
+    if np.ndim(n) != 0:
+        raise DomainError("harmonic vectors take one integer harmonic, got "
+                          f"{np.asarray(n).tolist()}")
     bessel = bessel_jn((n, n - 1, n + 1), kin.p_perp_prime * kin.radius_prime)
     f1, f2 = _keep_components(kin, beam, laser, sigma, bessel)
     g1, g2 = _flip_components(kin, beam, laser, sigma, bessel)

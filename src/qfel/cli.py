@@ -6,8 +6,10 @@ and headline intensities), coherence (wavelength-shift diagnostics), and
 limits (derived scenario quantities).  Output is CSV with '#' comment
 metadata, written to --out or stdout.  Each ``cmd_*`` returns its body
 lines, and ``main`` writes the same header before every one: version and
-subcommand, config sha256, and the config echo.  Identical configurations
-produce byte-identical output.
+subcommand, config sha256, and the config echo.  One numpy kernel,
+``_rows``, writes every CSV cell; of a run of equal tube profile rows it
+writes only the first.  Identical configurations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -311,14 +313,39 @@ def cmd_tube(config):
         lines.append(f"# warning: {note}")
     lines.append("# columns: section,l_m,n_compton,n_prime_compton,"
                  "photon_compton,n_m3,photon_m3")
-    prof = result.profile
+    lines.extend(_profile_rows(result.profile))
+    return lines
+
+
+def _profile_rows(prof):
+    """The tube profile's CSV rows, one string per run.  A row heads a run
+    when it is a section's first sample or its n, n' or N bits differ
+    from the sample before.  The SI columns divide n and N, so the rows of
+    a run differ only in l: only the heads go through ``_rows``, and the
+    later rows of each run join the head's cells after l to l rendered
+    once per sample."""
     sections, samples = prof.n.shape
-    labels = np.array([f"{s}," for s in range(1, sections + 1)], dtype="S")
-    n, photon = prof.n.ravel(), prof.photon.ravel()
-    lines.append(_rows((np.tile(prof.l_m, sections), n, prof.n_prime.ravel(),
-                        photon, density_compton_to_si(n),
-                        density_compton_to_si(photon)),
-                       prefix=np.repeat(labels, samples)))
+    bits = np.stack((prof.n, prof.n_prime, prof.photon)).view(np.int64)
+    head = np.ones((sections, samples), dtype=bool)
+    np.any(bits[..., 1:] != bits[..., :-1], axis=0, out=head[:, 1:])
+    heads = np.flatnonzero(head)
+    labels = [f"{s}," for s in range(1, sections + 1)]
+    n, photon = prof.n.ravel()[heads], prof.photon.ravel()[heads]
+    lines = _rows((np.tile(prof.l_m, sections)[heads], n,
+                   prof.n_prime.ravel()[heads], photon,
+                   density_compton_to_si(n), density_compton_to_si(photon)),
+                  prefix=np.repeat(np.array(labels, dtype="S"),
+                                   samples)[heads]).split("\n")
+    l_text = _rows((prof.l_m,)).split("\n")
+    length = np.diff(heads, append=head.size)
+    runs = np.flatnonzero(length > 1)
+    section, first = np.divmod(heads[runs], samples)
+    for k, s, i, j in zip(runs.tolist(), section.tolist(), first.tolist(),
+                          (first + length[runs]).tolist()):
+        label, line = labels[s], lines[k]
+        tail = line[len(label) + len(l_text[i]):]       # ",n,n',N,n_m3,N_m3"
+        lines[k] = (line + "\n" + label
+                    + (tail + "\n" + label).join(l_text[i + 1:j]) + tail)
     return lines
 
 

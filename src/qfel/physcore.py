@@ -144,6 +144,10 @@ def _bessel_series(n, x):
     np.copyto(total, square / 2.0, where=n == 2)    # pow can miss h*h
     for j in range(171, int(n.max()) + 1):
         np.multiply(total, half / j, out=total, where=n >= j)
+        # +0.0 times h/j stays +0.0: the steps end once every row still
+        # to take one has underflowed (checked every eighth step)
+        if j % 8 == 0 and not total[n[:, 0] > j].any():
+            break
     minus_half2 = -square
     term, m = total.copy(), 0
     while True:

@@ -5,7 +5,7 @@ its exit code, and the sha256 of its standard error without the
 wall-time line.  Warnings are written as ``Category: message``, without
 the file and line that raised them, so that moved code does not count.
 The calls are every job of the three benchmark workloads at seeds 7,
-11, 51 and 311, the five subcommands at their defaults, and eleven
+11, 51 and 311, the five subcommands at their defaults, and fourteen
 non-default or failing calls.  Run it under each checkout's sources and
 compare the outputs::
 
@@ -48,6 +48,11 @@ EXTRA = [
     ["coherence", "--set", "coherence.theta_over_pi=0",
      "--set", "coherence.measured_shift=1e-4"],             # exit 3
     ["limits", "--set", "laser.intensity_w_m2=1e300"],      # exit 3
+    ["tube", "--set", "laser.intensity_w_m2=1e12"],         # rows distinct
+    ["tube", "--set", "laser.intensity_w_m2=1e17",
+     "--set", "tube.sections=12"],                          # runs
+    ["tube", "--set", "tube.section_length_m=0",
+     "--set", "tube.sections=4"],                           # l repeats too
 ]
 
 

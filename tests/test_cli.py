@@ -26,6 +26,8 @@ from qfel.cli import _SCHEMA, _parser, _rows, main, parse_config
 from qfel.errors import ConfigError, DomainError
 from qfel.tube import run_multi_section
 
+from oracles import tube_rows_single_pass
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 # the --set pairs of each golden file not at the defaults: the tube file
 # is a cyclic, seeded run of 1,200 rows, the spin-down file pins the
@@ -597,10 +599,44 @@ class TestTubeCommand:
         assert float(line.rsplit("=", 1)[1]) == pytest.approx(
             chain.photon_density_m3, rel=1e-10)
 
+    @pytest.mark.parametrize("sets, heads", (
+        (GOLDEN_SETS["tube.csv"][1::2], 12),    # two runs a section
+        ([], 2),
+        (["laser.intensity_w_m2=1e12"], 200),   # every row distinct
+        (["laser.intensity_w_m2=1e17", "tube.sections=12"], 656),  # labels
+        # of two widths, and about 55 distinct rows before each run
+        (["tube.section_length_m=0", "tube.sections=4"], 4),   # l repeats
+        (["beam.density_m3=1e30"], 2)))
+    def test_body_equals_single_pass(self, sets, heads, monkeypatch):
+        # the rows of each run repeat the cells of its head after l, so the
+        # report must keep the bytes of one kernel pass over every row; the
+        # kernel sees the run heads once and the l column once
+        profiles, calls = [], []
+        run, rows = qfel.cli.run_multi_section, qfel.cli._rows
+
+        def recording_run(*args, **kwargs):
+            result = run(*args, **kwargs)
+            profiles.append(result.profile)
+            return result
+
+        def counted_rows(columns, **kwargs):
+            calls.append((len(columns), len(columns[0])))
+            return rows(columns, **kwargs)
+        monkeypatch.setattr(qfel.cli, "run_multi_section", recording_run)
+        monkeypatch.setattr(qfel.cli, "_rows", counted_rows)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # space charge
+            lines = qfel.cli.cmd_tube(parse_config(None, sets))
+        monkeypatch.undo()
+        body = "\n".join(line for line in lines if not line.startswith("#"))
+        assert calls == [(6, heads), (1, profiles[0].l_m.size)]
+        assert body == tube_rows_single_pass(profiles[0])
+
     def test_one_block_and_chunked_kernel_passes(self, monkeypatch, tmp_path):
         # the chain steps once per section and cycle on floats, the kept
-        # cycle is sampled as one block, and its 20,000 rows are written
-        # in passes of at most _BLOCK_CELLS cells
+        # cycle is sampled as one block, and its 20,000 rows, all distinct
+        # at 1e12 W/m^2, are written in passes of at most _BLOCK_CELLS
+        # cells, and its 200 l cells in one more
         counts = {"_densities": 0, "evolve_seeded": 0, "_format": 0}
 
         def counter(module, name):
@@ -615,14 +651,15 @@ class TestTubeCommand:
                              (qfel.tube, "evolve_seeded"),
                              (qfel.cli, "_format")):
             counter(module, name)
-        code, text = run_cli(["tube", "--set", "tube.sections=100",
+        code, text = run_cli(["tube", "--set", "laser.intensity_w_m2=1e12",
+                              "--set", "tube.sections=100",
                               "--set", "tube.cycles=3"], tmp_path)
         monkeypatch.undo()
         assert code == 0
         assert len(data_rows(text)) == 20000
         assert counts == {
             "_densities": 100 * 3 + 1, "evolve_seeded": 1,
-            "_format": math.ceil(20000 / (qfel.cli._BLOCK_CELLS // 6))}
+            "_format": math.ceil(20000 / (qfel.cli._BLOCK_CELLS // 6)) + 1}
 
 
 class TestCoherenceCommand:

@@ -256,6 +256,17 @@ class TestBessel:
         assert physcore.bessel_jn(2, x) == pytest.approx(
             (x / 2.0) ** 2 / 2.0, rel=1e-10)
 
+    def test_huge_order_underflows_to_zero(self):
+        # (1/2)^170 / 170! is already below the subnormals, so the leading
+        # term's steps to the order end within eight, not a million; in
+        # the block the order-200 row takes its last step at j = 200
+        # while still nonzero, and the steps after it end all the same
+        assert physcore.bessel_jn(10**6, 1.0) == 0.0
+        j200 = bessel_series_masked(np.array([[200]]), np.array([[8.5]]))[0, 0]
+        assert j200 > 0.0
+        assert physcore.bessel_jn([10**6, 200], [[1.0], [8.5]]).tolist() == \
+            [[0.0], [j200]]
+
     def test_huge_argument_rejected(self):
         with pytest.raises(DomainError):
             physcore.bessel_jn(0, 1e7)
