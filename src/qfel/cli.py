@@ -5,11 +5,11 @@ Subcommands: kinematics (forward photon energy vs beam energy), angular
 and headline intensities), coherence (wavelength-shift diagnostics), and
 limits (derived scenario quantities).  Output is CSV with '#' comment
 metadata, written to --out or stdout.  Each ``cmd_*`` returns its body
-lines, and ``main`` writes the same header before every one: version and
-subcommand, config sha256, and the config echo.  One numpy kernel,
-``_rows``, writes every CSV cell; of a run of equal tube profile rows it
-writes only the first.  Identical configurations produce byte-identical
-output.
+lines as bytes, and ``main`` writes the same header before every one:
+version and subcommand, config sha256, and the config echo.  One numpy
+kernel, ``_rows``, writes every CSV cell; of a run of equal tube profile
+rows it writes only the first.  Lines stay bytes up to the file (stdout
+decodes once), and equal configurations give byte-identical output.
 """
 
 from __future__ import annotations
@@ -189,13 +189,12 @@ def _mantissas(a):
 
 
 def _rows(columns, prefix=""):
-    """The CSV rows of equal-length numeric columns, joined by newlines,
-    with every cell exactly as ``_fmt`` ('%.11e') writes it.  ``prefix``
-    leads every row: one string, or an ``S`` array with one entry per row
-    (its zero padding is dropped).  The kernel formats the rows in passes
-    of at most ``_BLOCK_CELLS`` cells, which bounds its temporaries; the
-    last pass loses its final newline and the pass strings are joined
-    once."""
+    """The ASCII bytes of the CSV rows of equal-length numeric columns,
+    joined by newlines, every cell as ``_fmt`` ('%.11e') writes it.
+    ``prefix`` leads every row: one string, or an ``S`` array with one
+    entry per row (its zero padding is dropped).  The kernel formats the
+    rows in passes of at most ``_BLOCK_CELLS`` cells, which bounds its
+    temporaries; the pass bytes lose the last newline and join once."""
     table = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
     if not np.isfinite(table).all():
         raise DomainError("a CSV cell is outside the floating-point range")
@@ -204,13 +203,13 @@ def _rows(columns, prefix=""):
     step = max(1, _BLOCK_CELLS // table.shape[1])
     passes = [_format(table[start:start + step],
                       head[start:start + step] if len(head) > 1 else head)
-              for start in range(0, len(table), step)] or [""]
+              for start in range(0, len(table), step)] or [b""]
     passes[-1] = passes[-1][:-1]
-    return "".join(passes)
+    return b"".join(passes)
 
 
 def _format(table, head):
-    """The text of the rows of a finite table, each led by its row of
+    """The bytes of the rows of a finite table, each led by its row of
     ``head`` (or by the one row ``head`` has) and ended by a newline.  The
     cells' four table indices come from floor divisions of m, and one
     bytes.translate drops the 0 bytes."""
@@ -230,25 +229,26 @@ def _format(table, head):
     cells[..., 3] = _TAIL[lo - mid * 100 + 100 * (e < 0)]
     cells[..., 4] = _EXP[np.abs(e)]
     cells[:, -1, 4] ^= _NEWLINE
-    return words.tobytes().translate(None, b"\0").decode("ascii")
+    return words.tobytes().translate(None, b"\0")
 
 
 def _headlines(*items):
-    """'# headline: label = value' lines for (label, value) pairs."""
+    """'# headline: label = value' byte lines for (label, value) pairs."""
     for label, value in items:
         if not math.isfinite(value):
             raise DomainError(f"{label} is outside the floating-point range")
-    return [f"# headline: {label} = {_fmt(value)}" for label, value in items]
+    return [f"# headline: {label} = {_fmt(value)}".encode()
+            for label, value in items]
 
 
 def _header(command, config):
-    """The frame every report opens with: version and subcommand, the
-    sha256 of the config echo, and the echo itself."""
+    """The frame every report opens with, as UTF-8 lines: version and
+    subcommand, the sha256 of the config echo, and the echo itself."""
     echo = [f"{key} = {_fmt(value) if isinstance(value, float) else value}"
-            for key, value in sorted(config.items())]
-    digest = hashlib.sha256("\n".join(echo).encode("utf-8")).hexdigest()
-    return [f"# qfel {__version__} {command}", f"# config sha256 {digest}",
-            *(f"# {line}" for line in echo)]
+            .encode() for key, value in sorted(config.items())]
+    digest = hashlib.sha256(b"\n".join(echo)).hexdigest().encode()
+    return [f"# qfel {__version__} {command}".encode(),
+            b"# config sha256 " + digest, *(b"# " + line for line in echo)]
 
 
 def _laser(config):
@@ -271,7 +271,7 @@ def cmd_kinematics(config):
                            config["sweep.energy_points"])
     kp_mev = physcore.from_natural_energy(solve_final_state(
         math.pi, 1, _beam(config, energy_mev=energies), laser).k_prime)
-    return ["# columns: energy_mev,k_prime_mev", _rows((energies, kp_mev))]
+    return [b"# columns: energy_mev,k_prime_mev", _rows((energies, kp_mev))]
 
 
 def cmd_angular(config):
@@ -285,8 +285,8 @@ def cmd_angular(config):
                physcore.from_natural_energy(spec.k_prime), 1e6 * spec.averaged,
                spec.polarization_x.real, spec.polarization_x.imag,
                spec.polarization_y.real, spec.polarization_y.imag)
-    return ["# columns: theta_over_pi,k_prime_mev,y_avg_xsec_times_1e6,"
-            "pol_x_re,pol_x_im,pol_y_re,pol_y_im", _rows(columns)]
+    return [b"# columns: theta_over_pi,k_prime_mev,y_avg_xsec_times_1e6,"
+            b"pol_x_re,pol_x_im,pol_y_re,pol_y_im", _rows(columns)]
 
 
 def cmd_tube(config):
@@ -310,15 +310,15 @@ def cmd_tube(config):
         ("output intensity, one-half rule [W/m^2]",
          result.headline_intensity_w_m2))
     for note in result.warnings:
-        lines.append(f"# warning: {note}")
-    lines.append("# columns: section,l_m,n_compton,n_prime_compton,"
-                 "photon_compton,n_m3,photon_m3")
+        lines.append(f"# warning: {note}".encode())
+    lines.append(b"# columns: section,l_m,n_compton,n_prime_compton,"
+                 b"photon_compton,n_m3,photon_m3")
     lines.extend(_profile_rows(result.profile))
     return lines
 
 
 def _profile_rows(prof):
-    """The tube profile's CSV rows, one string per run.  A row heads a run
+    """The tube profile's CSV rows as bytes, one per run.  A row heads a run
     when it is a section's first sample or its n, n' or N bits differ
     from the sample before.  The SI columns divide n and N, so the rows of
     a run differ only in l: only the heads go through ``_rows``, and the
@@ -329,14 +329,14 @@ def _profile_rows(prof):
     head = np.ones((sections, samples), dtype=bool)
     np.any(bits[..., 1:] != bits[..., :-1], axis=0, out=head[:, 1:])
     heads = np.flatnonzero(head)
-    labels = [f"{s}," for s in range(1, sections + 1)]
+    labels = [b"%d," % s for s in range(1, sections + 1)]
     n, photon = prof.n.ravel()[heads], prof.photon.ravel()[heads]
     lines = _rows((np.tile(prof.l_m, sections)[heads], n,
                    prof.n_prime.ravel()[heads], photon,
                    density_compton_to_si(n), density_compton_to_si(photon)),
                   prefix=np.repeat(np.array(labels, dtype="S"),
-                                   samples)[heads]).split("\n")
-    l_text = _rows((prof.l_m,)).split("\n")
+                                   samples)[heads]).split(b"\n")
+    l_text = _rows((prof.l_m,)).split(b"\n")
     length = np.diff(heads, append=head.size)
     runs = np.flatnonzero(length > 1)
     section, first = np.divmod(heads[runs], samples)
@@ -344,8 +344,8 @@ def _profile_rows(prof):
                           (first + length[runs]).tolist()):
         label, line = labels[s], lines[k]
         tail = line[len(label) + len(l_text[i]):]       # ",n,n',N,n_m3,N_m3"
-        lines[k] = (line + "\n" + label
-                    + (tail + "\n" + label).join(l_text[i + 1:j]) + tail)
+        lines[k] = (line + b"\n" + label
+                    + (tail + b"\n" + label).join(l_text[i + 1:j]) + tail)
     return lines
 
 
@@ -426,11 +426,10 @@ def main(argv=None):
         # a result beyond the float range ends in the DomainError of the
         # output check, never in a numpy warning
         with np.errstate(all="ignore"):
-            text = "\n".join(_header(args.command, config)
-                              + _COMMANDS[args.command](config) + [""])
+            data = b"\n".join(_header(args.command, config)
+                               + _COMMANDS[args.command](config) + [b""])
         out_path = args.out or config["output.path"]
         if out_path:
-            data = text.encode("utf-8")
             try:
                 # in place: a truncating open costs several times the write
                 fd = os.open(out_path, os.O_WRONLY | os.O_CREAT
@@ -447,7 +446,7 @@ def main(argv=None):
             except OSError as exc:
                 raise ConfigError(f"cannot write the output file: {exc}")
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(data.decode("utf-8"))  # may be a text stream
     except ConfigError as exc:
         print(f"qfel: config error: {exc}", file=sys.stderr)
         return 2

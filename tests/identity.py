@@ -1,9 +1,11 @@
 """Byte-identity check of the CLI across two checkouts.
 
 Prints one line per ``qfel`` call: the sha256 of its standard output,
-its exit code, and the sha256 of its standard error without the
-wall-time line.  Warnings are written as ``Category: message``, without
-the file and line that raised them, so that moved code does not count.
+its exit code, the sha256 of its standard error without the wall-time
+line, and the sha256 of the file the same call writes with ``--out``
+(``-`` when it writes none), so that both output branches are compared.
+Warnings are written as ``Category: message``, without the file and
+line that raised them, so that moved code does not count.
 The calls are every job of the three benchmark workloads at seeds 7,
 11, 51 and 311, the five subcommands at their defaults, and fourteen
 non-default or failing calls.  Run it under each checkout's sources and
@@ -21,6 +23,7 @@ import hashlib
 import io
 import os
 import sys
+import tempfile
 import warnings
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -86,6 +89,18 @@ def run(argv):
     return code, out.getvalue(), "".join(lines)
 
 
+def out_file(argv):
+    """The bytes the call writes with ``--out``, or None when it writes no
+    file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        run(argv + ["--out", path])
+        if not os.path.exists(path):
+            return None
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
 def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -93,4 +108,6 @@ def _sha(text):
 if __name__ == "__main__":
     for label, argv in calls():
         code, out, err = run(argv)
-        print(f"{label} {_sha(out)} {code} {_sha(err)}", flush=True)
+        data = out_file(argv)
+        written = "-" if data is None else hashlib.sha256(data).hexdigest()
+        print(f"{label} {_sha(out)} {code} {_sha(err)} {written}", flush=True)

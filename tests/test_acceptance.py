@@ -73,7 +73,8 @@ def test_criterion_02_forward_photon_energy():
 
 def test_criterion_03_energy_sweep():
     config = parse_config(None, [])
-    rows = [line for line in "\n".join(cmd_kinematics(config)).splitlines()
+    text = b"\n".join(cmd_kinematics(config)).decode("ascii")
+    rows = [line for line in text.splitlines()
             if not line.startswith("#")]
     kps = [float(r.split(",")[1]) for r in rows]
     increasing = all(b > a for a, b in zip(kps, kps[1:]))

@@ -3,6 +3,7 @@ golden-file regression, and determinism."""
 
 import contextlib
 import functools
+import hashlib
 import io
 import math
 import os
@@ -151,10 +152,12 @@ class TestParser:
 
 
 def _percent_rows(table, prefix):
-    """'%.11e' rows, each led by prefix or by its entry of a prefix list."""
+    """'%.11e' rows, each led by prefix or by its entry of a prefix list,
+    as the ASCII bytes the kernel returns."""
     heads = prefix if isinstance(prefix, list) else [prefix] * len(table)
-    return "\n".join(head + ",".join("%.11e" % v for v in row)
+    text = "\n".join(head + ",".join("%.11e" % v for v in row)
                      for head, row in zip(heads, table.tolist()))
+    return text.encode("ascii")
 
 
 class TestCsvCells:
@@ -298,6 +301,10 @@ class TestExitCodes:
 
 
 COMMANDS = ("kinematics", "angular", "tube", "coherence", "limits")
+# --set pairs that keep each subcommand's report small
+SMALL_SETS = {"kinematics": ["sweep.energy_points=11"],
+              "angular": ["sweep.theta_points=21"], "tube": [],
+              "coherence": ["coherence.measured_shift=2.77e-4"], "limits": []}
 
 
 @functools.lru_cache(maxsize=None)
@@ -415,6 +422,45 @@ class TestOutputFile:
         os.link(path, other)
         assert main(["limits", "--out", str(path)]) == 0
         assert other.read_bytes() == fresh_bytes("limits")
+
+
+class TestReportBytes:
+    """Report lines are bytes from the CSV kernel to the file; only the
+    stdout branch decodes them."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_stdout_and_file_branches_agree(self, command, tmp_path):
+        argv = [command] + _sets(SMALL_SETS[command])
+        path = tmp_path / "out.csv"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv + ["--out", str(path)]) == 0
+        code, text = run_quiet(argv)
+        assert code == 0
+        assert text.encode("utf-8") == path.read_bytes()
+
+    def test_config_echo_keeps_utf8(self, tmp_path):
+        # a non-ASCII value is echoed as UTF-8, and the config sha256 is
+        # taken over the UTF-8 bytes of the echo lines
+        path = tmp_path / "out.csv"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["limits", "--set", "output.path=ψ/γ.csv",
+                         "--out", str(path)]) == 0
+        lines = path.read_bytes().split(b"\n")
+        assert "# output.path = ψ/γ.csv".encode("utf-8") in lines
+        echo = [line[2:] for line in lines
+                if line[2:].partition(b" = ")[0].decode() in _SCHEMA]
+        assert len(echo) == len(_SCHEMA)
+        digest = hashlib.sha256(b"\n".join(echo)).hexdigest()
+        assert lines[1] == f"# config sha256 {digest}".encode()
+
+    def test_kernel_and_commands_return_bytes(self):
+        assert type(_rows(([1.0, -2.5], [3.0, 4.0]))) is bytes
+        assert _rows(([],)) == b""
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for command, sets in SMALL_SETS.items():
+                lines = qfel.cli._COMMANDS[command](parse_config(None, sets))
+                assert lines and all(type(line) is bytes for line in lines)
 
 
 def _override_values(key):
@@ -628,7 +674,7 @@ class TestTubeCommand:
             warnings.simplefilter("ignore", UserWarning)    # space charge
             lines = qfel.cli.cmd_tube(parse_config(None, sets))
         monkeypatch.undo()
-        body = "\n".join(line for line in lines if not line.startswith("#"))
+        body = b"\n".join(line for line in lines if not line.startswith(b"#"))
         assert calls == [(6, heads), (1, profiles[0].l_m.size)]
         assert body == tube_rows_single_pass(profiles[0])
 
