@@ -35,6 +35,7 @@ from .kinematics import (coherence_probe, coherent_intensity_from_shift,
 from .tube import density_compton_to_si, gain_coefficient, run_multi_section
 
 _DIRECTIONS = (HEAD_ON, CO_PROPAGATING)
+_MAX_POINTS = 2**40     # sweep points: one float64 column of more fits no host
 
 # Flat schema: dotted key -> (type, default, validator or None).  The
 # defaults are the canonical 785 nm / 1e19 W/m^2 / 307 MeV head-on scenario.
@@ -45,10 +46,10 @@ _SCHEMA = {
     "beam.direction": (str, HEAD_ON, lambda v: v in _DIRECTIONS),
     "beam.spin": (int, 1, lambda v: v in (-1, 1)),
     "beam.density_m3": (float, 1e18, lambda v: v >= 0.0),
-    "sweep.theta_points": (int, 2000, lambda v: v >= 1),
+    "sweep.theta_points": (int, 2000, lambda v: 1 <= v <= _MAX_POINTS),
     "sweep.energy_min_mev": (float, 100.0, lambda v: v >= physcore.ELECTRON_MASS_MEV),
     "sweep.energy_max_mev": (float, 1000.0, lambda v: v >= physcore.ELECTRON_MASS_MEV),
-    "sweep.energy_points": (int, 181, lambda v: v >= 1),
+    "sweep.energy_points": (int, 181, lambda v: 1 <= v <= _MAX_POINTS),
     "sweep.harmonic_max": (int, DEFAULT_HARMONIC_MAX, lambda v: v >= 1),
     "tube.section_length_m": (float, 0.01, lambda v: v >= 0.0),
     "tube.sections": (int, 1, lambda v: v >= 1),
@@ -128,8 +129,8 @@ def _fmt(x):
 # its 12-digit integer mantissa m and decimal exponent e as five
 # little-endian 32-bit words of lookup tables: [sign d0 '.' d1]
 # [d2..d5] [d6..d9] [d10 d11 'e' exponent-sign] [e2 e1 e0 separator].  A
-# 0 byte marks the absent sign and the absent third exponent digit (and
-# pads a row prefix); each pass drops them with one bytes.translate.
+# 0 byte marks the absent sign and the absent third exponent digit;
+# each pass drops them with one bytes.translate.
 def _words(shape, *columns):
     """uint32 table over an index grid of the given shape whose four
     little-endian bytes are the columns, each broadcast against the grid."""
@@ -188,38 +189,28 @@ def _mantissas(a):
     return m, e
 
 
-def _rows(columns, prefix=""):
+def _rows(columns):
     """The ASCII bytes of the CSV rows of equal-length numeric columns,
-    joined by newlines, every cell as ``_fmt`` ('%.11e') writes it.
-    ``prefix`` leads every row: one string, or an ``S`` array with one
-    entry per row (its zero padding is dropped).  The kernel formats the
-    rows in passes of at most ``_BLOCK_CELLS`` cells, which bounds its
-    temporaries; the pass bytes lose the last newline and join once."""
+    joined by newlines, every cell as ``_fmt`` ('%.11e') writes it.  The
+    kernel formats the rows in passes of at most ``_BLOCK_CELLS`` cells,
+    which bounds its temporaries; the pass bytes lose the last newline
+    and join once."""
     table = np.stack([np.asarray(c, dtype=float) for c in columns], axis=1)
     if not np.isfinite(table).all():
         raise DomainError("a CSV cell is outside the floating-point range")
-    head = np.asarray(prefix, dtype="S").reshape(-1)
-    head = head.view(np.uint8).reshape(len(head), head.itemsize)
     step = max(1, _BLOCK_CELLS // table.shape[1])
-    passes = [_format(table[start:start + step],
-                      head[start:start + step] if len(head) > 1 else head)
+    passes = [_format(table[start:start + step])
               for start in range(0, len(table), step)] or [b""]
     passes[-1] = passes[-1][:-1]
     return b"".join(passes)
 
 
-def _format(table, head):
-    """The bytes of the rows of a finite table, each led by its row of
-    ``head`` (or by the one row ``head`` has) and ended by a newline.  The
-    cells' four table indices come from floor divisions of m, and one
+def _format(table):
+    """The bytes of the rows of a finite table, each ended by a newline.
+    The cells' four table indices come from floor divisions of m, and one
     bytes.translate drops the 0 bytes."""
     m, e = _mantissas(np.abs(table))
-    rows, cols = table.shape
-    lead = -(-head.shape[1] // 4)           # words that hold the prefix
-    words = np.empty((rows, lead + 5 * cols), dtype="<u4")
-    words[:, :lead] = 0
-    words[:, :lead].view(np.uint8)[:, :head.shape[1]] = head
-    cells = words[:, lead:].reshape(rows, cols, 5)
+    cells = np.empty(table.shape + (5,), dtype="<u4")
     hi = m // 10**6                         # d0..d5
     lo = m - hi * 10**6                     # d6..d11
     top, mid = hi // 10**4, lo // 100       # d0 d1 and d6..d9
@@ -229,7 +220,7 @@ def _format(table, head):
     cells[..., 3] = _TAIL[lo - mid * 100 + 100 * (e < 0)]
     cells[..., 4] = _EXP[np.abs(e)]
     cells[:, -1, 4] ^= _NEWLINE
-    return words.tobytes().translate(None, b"\0")
+    return cells.tobytes().translate(None, b"\0")
 
 
 def _headlines(*items):
@@ -245,7 +236,8 @@ def _header(command, config):
     """The frame every report opens with, as UTF-8 lines: version and
     subcommand, the sha256 of the config echo, and the echo itself."""
     echo = [f"{key} = {_fmt(value) if isinstance(value, float) else value}"
-            .encode() for key, value in sorted(config.items())]
+            .encode("utf-8", "surrogateescape")     # a path's own bytes
+            for key, value in sorted(config.items())]
     digest = hashlib.sha256(b"\n".join(echo)).hexdigest().encode()
     return [f"# qfel {__version__} {command}".encode(),
             b"# config sha256 " + digest, *(b"# " + line for line in echo)]
@@ -331,11 +323,11 @@ def _profile_rows(prof):
     heads = np.flatnonzero(head)
     labels = [b"%d," % s for s in range(1, sections + 1)]
     n, photon = prof.n.ravel()[heads], prof.photon.ravel()[heads]
-    lines = _rows((np.tile(prof.l_m, sections)[heads], n,
-                   prof.n_prime.ravel()[heads], photon,
-                   density_compton_to_si(n), density_compton_to_si(photon)),
-                  prefix=np.repeat(np.array(labels, dtype="S"),
-                                   samples)[heads]).split(b"\n")
+    lines = [labels[s] + line for s, line in zip(
+        (heads // samples).tolist(),
+        _rows((np.tile(prof.l_m, sections)[heads], n,
+               prof.n_prime.ravel()[heads], photon, density_compton_to_si(n),
+               density_compton_to_si(photon))).split(b"\n"))]
     l_text = _rows((prof.l_m,)).split(b"\n")
     length = np.diff(heads, append=head.size)
     runs = np.flatnonzero(length > 1)

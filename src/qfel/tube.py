@@ -91,7 +91,7 @@ class TubeProfile:
     n: np.ndarray
     n_prime: np.ndarray
     photon: np.ndarray
-    asymptote: float             # photon density as l -> infinity
+    asymptote: float | np.ndarray   # N as l -> infinity, one per seed row
 
 
 def gain_coefficient(beam: ElectronBeam, laser: LaserField):
@@ -138,14 +138,12 @@ def evolve_seeded(config: TubeConfig, samples=200):
     """Closed-form solution of the seeded balance equation over one section,
     with one profile row per seed when ``config.seed`` is an array."""
     ls = np.linspace(0.0, config.length_m, max(int(samples), 2))
-    rows = np.ndim(config.seed) == 1
-    seed = np.asarray(config.seed, dtype=float)[:, None] if rows \
-        else config.seed
+    seed = np.asarray(config.seed, dtype=float)[..., None]
     with np.errstate(all="ignore"):
         n, n_prime, photon, asymptote = _densities(config.n0, seed,
                                                    config.gain, ls)
     return TubeProfile(l_m=ls, n=n, n_prime=n_prime, photon=photon,
-                       asymptote=asymptote[:, 0] if rows else asymptote)
+                       asymptote=asymptote[..., 0][()])  # a float for one seed
 
 
 def output_intensity(photon_density_m3, photon_energy_mev):

@@ -12,7 +12,8 @@ and the coefficient-table form of each term, summed the same way; for the
 angular sweep the sweep that evaluates harmonic 1 a second time beside the
 sum; for the polarization basis and the spin-keep vector the forms that
 stack their columns and join real and imaginary parts from temporaries;
-for the tube report's rows one CSV kernel pass over every row."""
+for the tube report's rows a '%.11e' writer that takes one row at a
+time."""
 
 import math
 
@@ -22,7 +23,6 @@ from qfel import physcore
 from qfel.amplitudes import (PolarizationBasis, _flip_components,
                              _keep_components, outgoing_polarization)
 from qfel.beamfield import ElectronBeam, LaserField
-from qfel.cli import _rows
 from qfel.emission import (_TRUNCATION_RTOL, DEFAULT_HARMONIC_MAX,
                            AngularSpectrum, averaged_cross_section)
 from qfel.errors import DomainError, NumericError
@@ -392,13 +392,13 @@ def keep_vector_stacked(f1, f2, basis: PolarizationBasis):
 
 
 def tube_rows_single_pass(profile: TubeProfile):
-    """The CSV rows of a tube profile as one ``cli._rows`` pass over every
-    row: l tiled over the sections, the section labels repeated over the
-    samples, n, n', N and the SI densities."""
-    sections, samples = profile.n.shape
-    labels = np.array([f"{s}," for s in range(1, sections + 1)], dtype="S")
-    n, photon = profile.n.ravel(), profile.photon.ravel()
-    return _rows((np.tile(profile.l_m, sections), n, profile.n_prime.ravel(),
-                  photon, density_compton_to_si(n),
-                  density_compton_to_si(photon)),
-                 prefix=np.repeat(labels, samples))
+    """The CSV rows of a tube profile written one row at a time with
+    '%.11e': the section label, l, n, n', N and the SI densities."""
+    columns = [np.broadcast_to(profile.l_m, profile.n.shape), profile.n,
+               profile.n_prime, profile.photon,
+               density_compton_to_si(profile.n),
+               density_compton_to_si(profile.photon)]
+    cells = np.stack(columns, axis=-1).tolist()
+    return "\n".join(f"{s}," + ",".join("%.11e" % v for v in row)
+                     for s, section in enumerate(cells, start=1)
+                     for row in section).encode("ascii")

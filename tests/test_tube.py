@@ -80,6 +80,7 @@ class TestClosedFormsVsRK4:
                                        rtol=1e-12, atol=1e-14)
             assert seeded.asymptote == pytest.approx(plain.asymptote,
                                                      rel=1e-12)
+            assert isinstance(seeded.asymptote, float)   # one seed, one value
 
     def test_unseeded_asymptote(self):
         n0 = 2.5
