@@ -4,7 +4,10 @@ Subcommands: kinematics (forward photon energy vs beam energy), angular
 (cross-section sweep over the emission angle), tube (population profile
 and headline intensities), coherence (wavelength-shift diagnostics), and
 limits (derived scenario quantities).  Output is CSV with '#' comment
-metadata, written to --out or stdout.  Each ``cmd_*`` returns its body
+metadata, written to --out or stdout.  ``_parse_args`` reads a
+well-formed command line (one subcommand, each option spelled in full)
+in one pass; help, abbreviations and malformed lines go to argparse,
+which is imported only then.  Each ``cmd_*`` returns its body
 lines as bytes, and ``main`` writes the same header before every one:
 version and subcommand, config sha256, and the config echo.  One numpy
 kernel, ``_rows``, writes every CSV cell; of a run of equal tube profile
@@ -14,7 +17,6 @@ decodes once), and equal configurations give byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import math
@@ -36,8 +38,21 @@ from .tube import density_compton_to_si, gain_coefficient, run_multi_section
 
 _DIRECTIONS = (HEAD_ON, CO_PROPAGATING)
 _MAX_POINTS = 2**40     # sweep points: one float64 column of more fits no host
+# tube.sections x tube.cycles float steps of the chain: 2.0-2.4 us each
+# (2-CPU host), so the bound is about 35-40 s
+_MAX_TUBE_STEPS = 2**24
 
-# Flat schema: dotted key -> (type, default, validator or None).  The
+
+def _path_ok(path):
+    """Whether the header can echo a path and the OS can take it: no NUL,
+    and no surrogate that surrogateescape cannot turn back into a byte."""
+    try:
+        return b"\0" not in path.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        return False
+
+
+# Flat schema: dotted key -> (type, default, validator).  The
 # defaults are the canonical 785 nm / 1e19 W/m^2 / 307 MeV head-on scenario.
 _SCHEMA = {
     "laser.wavelength_nm": (float, 785.0, lambda v: v > 0.0),
@@ -63,7 +78,7 @@ _SCHEMA = {
     "coherence.radiation_wavelength_nm": (float, 0.8707, lambda v: v > 0.0),
     "coherence.radiation_intensity_w_m2": (float, 1e26, lambda v: v >= 0.0),
     "coherence.measured_shift": (float, 0.0, lambda v: v >= 0.0),
-    "output.path": (str, "", None),
+    "output.path": (str, "", _path_ok),
 }
 
 
@@ -81,8 +96,7 @@ def _assign(config, key, raw):
     value = _coerce(key, raw)
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{key}: value {value!r} is not finite")
-    check = _SCHEMA[key][2]
-    if check is not None and not check(value):
+    if not _SCHEMA[key][2](value):
         raise ConfigError(f"{key}: value {value!r} is out of range")
     config[key] = value
 
@@ -99,7 +113,7 @@ def parse_config(path=None, overrides=()):
         try:
             with open(path, encoding="utf-8") as fh:
                 lines = list(fh)
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:     # ValueError: NUL, decoding
             raise ConfigError(f"cannot read configuration file {path}: {exc}")
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
@@ -117,6 +131,9 @@ def parse_config(path=None, overrides=()):
         _assign(config, key.strip(), raw.strip())
     if config["sweep.energy_min_mev"] > config["sweep.energy_max_mev"]:
         raise ConfigError("sweep.energy_min_mev exceeds sweep.energy_max_mev")
+    if config["tube.sections"] * config["tube.cycles"] > _MAX_TUBE_STEPS:
+        raise ConfigError(f"tube.sections x tube.cycles exceeds "
+                          f"{_MAX_TUBE_STEPS} chain steps")
     return config
 
 
@@ -391,6 +408,7 @@ _COMMANDS = {
 @functools.cache
 def _parser():
     """The argument parser, built once per process."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="qfel",
         description="Gamma emission from electrons wiggling in a laser.")
@@ -408,19 +426,50 @@ def _parser():
     return parser
 
 
+def _parse_args(argv):
+    """(command, config path, overrides, out path, threads) of a command
+    line, read in one pass when it has one subcommand and only --config,
+    --set, --out and --threads in full, each as --name=value or followed
+    by a value that does not start with '-'.  Help, abbreviations and
+    every other line go to argparse, with its own output and exit code."""
+    argv = sys.argv[1:] if argv is None else argv
+    commands, values = [], {"--config": None, "--set": [], "--out": None,
+                            "--threads": 1}
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            name, eq, value = token.partition("=")
+            if not token.startswith("-"):
+                commands.append(token)
+            elif name not in values or not eq and (
+                    value := next(tokens)).startswith("-"):
+                raise ValueError
+            elif name == "--set":
+                values[name].append(value)
+            else:       # argparse converts each --threads as it reads it
+                values[name] = int(value) if name == "--threads" else value
+        (command,) = commands               # ValueError unless exactly one
+        if command not in _COMMANDS:
+            raise ValueError
+    except (ValueError, StopIteration):
+        args = _parser().parse_args(argv)
+        return args.command, args.config, args.overrides, args.out, args.threads
+    return command, *values.values()
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    command, config_path, overrides, out, threads = _parse_args(argv)
     start = time.perf_counter()
     try:
-        config = parse_config(args.config, args.overrides)
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        config = parse_config(config_path, overrides)
+        if threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {threads}")
         # a result beyond the float range ends in the DomainError of the
         # output check, never in a numpy warning
         with np.errstate(all="ignore"):
-            data = b"\n".join(_header(args.command, config)
-                               + _COMMANDS[args.command](config) + [b""])
-        out_path = args.out or config["output.path"]
+            data = b"\n".join(_header(command, config)
+                               + _COMMANDS[command](config) + [b""])
+        out_path = out or config["output.path"]
         if out_path:
             try:
                 # in place: a truncating open costs several times the write
@@ -435,7 +484,7 @@ def main(argv=None):
                         os.ftruncate(fd, len(data))
                 finally:
                     os.close(fd)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:   # ValueError: NUL, surrogate
                 raise ConfigError(f"cannot write the output file: {exc}")
         else:
             sys.stdout.write(data.decode("utf-8"))  # may be a text stream
@@ -449,7 +498,7 @@ def main(argv=None):
         print(f"qfel: error: out of memory: {exc}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - start
-    print(f"# qfel {args.command}: wall time {elapsed:.3f} s", file=sys.stderr)
+    print(f"# qfel {command}: wall time {elapsed:.3f} s", file=sys.stderr)
     return 0
 
 

@@ -7,12 +7,13 @@ line, and the sha256 of the file the same call writes with ``--out``
 Warnings are written as ``Category: message``, without the file and
 line that raised them, so that moved code does not count.
 The calls are every job of the three benchmark workloads at seeds 7,
-11, 51 and 311, the five subcommands at their defaults, and fourteen
-non-default or failing calls.  Run it under each checkout's sources and
-compare the outputs::
+11, 51 and 311, the five subcommands at their defaults, and twenty-one
+non-default or failing calls, help and argparse's usage errors among
+them.  Run it under each checkout's sources and compare the outputs;
+argparse wraps help to the terminal width, so fix it::
 
-    PYTHONPATH=<old checkout>/src python3 tests/identity.py > old.txt
-    PYTHONPATH=src python3 tests/identity.py > new.txt
+    COLUMNS=80 PYTHONPATH=<old checkout>/src python3 tests/identity.py > old.txt
+    COLUMNS=80 PYTHONPATH=src python3 tests/identity.py > new.txt
     diff old.txt new.txt
 
 Not collected by pytest (the file name does not start with ``test_``).
@@ -56,6 +57,13 @@ EXTRA = [
      "--set", "tube.sections=12"],                          # runs
     ["tube", "--set", "tube.section_length_m=0",
      "--set", "tube.sections=4"],                           # l repeats too
+    ["-h"],                                                 # help, exit 0
+    ["nope"],                                               # usage, exit 2
+    ["limits", "--bogus"],
+    ["limits", "--set"],
+    ["limits", "--threads", "x", "--threads", "2"],
+    ["limits", "--se", "beam.spin=-1"],                     # abbreviation
+    ["--set=beam.spin=-1", "limits", "--threads=3"],
 ]
 
 

@@ -23,12 +23,14 @@ from hypothesis.extra.numpy import arrays
 import qfel.cli
 import qfel.tube
 from qfel.beamfield import LaserField, make_beam
-from qfel.cli import _SCHEMA, _parser, _rows, main, parse_config
+from qfel.cli import (_MAX_TUBE_STEPS, _SCHEMA, _parse_args, _parser, _rows,
+                      main, parse_config)
 from qfel.errors import ConfigError, DomainError
 from qfel.tube import run_multi_section
 
 from oracles import tube_rows_single_pass
 
+COMMANDS = ("kinematics", "angular", "tube", "coherence", "limits")
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 # the --set pairs of each golden file not at the defaults: the tube file
 # is a cyclic, seeded run of 1,200 rows, the spin-down file pins the
@@ -132,6 +134,49 @@ class TestParseConfig:
             parse_config(None, ["sweep.energy_min_mev=900",
                                 "sweep.energy_max_mev=100"])
 
+    def test_tube_chain_bound(self):
+        side = math.isqrt(_MAX_TUBE_STEPS)
+        assert side * side == _MAX_TUBE_STEPS
+        config = parse_config(None, [f"tube.sections={side}",
+                                     f"tube.cycles={side}"])
+        assert config["tube.sections"] * config["tube.cycles"] == side * side
+        with pytest.raises(ConfigError,
+                           match=r"tube\.sections x tube\.cycles"):
+            parse_config(None, [f"tube.sections={side}",
+                                f"tube.cycles={side + 1}"])
+
+
+# Command lines for the one-pass reader: well-formed lines (options in
+# full, as '--name value' or '--name=value', around one subcommand), the
+# same with one token put in anywhere, and token lines of any shape.  The
+# tokens hold each option in full, abbreviated and in '=' form, help,
+# '--', values that start with '-', empty values, values with spaces and
+# --threads values that int() rejects.
+_OPTION = st.sampled_from(("--config", "--set", "--out", "--threads", "--con",
+                           "--se", "--thr", "-h", "--help", "--", "-", "-x"))
+_VALUE = st.sampled_from(("beam.spin=-1", "x=y=z", "a b", "", "2", "0", " 4",
+                          "x", "limits", "-1", "-x", "--set"))
+_TOKEN = st.one_of(st.sampled_from(COMMANDS + ("nope",)), _OPTION, _VALUE,
+                   st.builds("{}={}".format, _OPTION, _VALUE),
+                   st.text(alphabet="-=ls1 x", max_size=4))
+_GOOD_PAIR = st.one_of(
+    st.tuples(st.sampled_from(("--config", "--set", "--out")),
+              st.sampled_from(("beam.spin=-1", "x=y=z", "a b", "", "o.csv",
+                               "limits"))),
+    st.tuples(st.just("--threads"), st.sampled_from(("2", "0", " 4", "+3"))))
+_GOOD_PIECES = st.lists(
+    st.tuples(_GOOD_PAIR, st.booleans()).map(
+        lambda p: ["=".join(p[0])] if p[1] else list(p[0])),
+    max_size=3).map(lambda pieces: sum(pieces, []))
+_WELL_FORMED = st.builds(lambda before, command, after: before + [command]
+                         + after, _GOOD_PIECES, st.sampled_from(COMMANDS),
+                         _GOOD_PIECES)
+_LINE = st.one_of(
+    _WELL_FORMED,
+    st.builds(lambda line, token, at: line[:at] + [token] + line[at:],
+              _WELL_FORMED, _TOKEN, st.integers(0, 13)),
+    st.lists(_TOKEN, max_size=8))
+
 
 class TestParser:
     def test_built_once(self):
@@ -149,6 +194,53 @@ class TestParser:
         assert "# beam.spin = 1" in third.splitlines()
         assert third == run_cli(["limits"], tmp_path, "d.csv")[1]
         assert _parser().parse_args(["limits"]).overrides == []
+
+    @settings(max_examples=400)
+    @given(line=_LINE)
+    @example(line=["limits", "--threads", "x", "--threads", "2"])
+    @example(line=["limits", "--threads", "2", "--threads", "x"])
+    @example(line=["--set=beam.spin=-1", "limits", "--threads=3"])
+    @example(line=["limits", "--se", "beam.spin=-1"])
+    @example(line=["limits", "--set", "-1"])
+    @example(line=["--set", "a b", "--config", "c.cfg", "--out", "",
+                   "tube", "--threads", " 2", "--set=", "--out=o.csv"])
+    @example(line=["--set", "limits", "limits"])
+    @example(line=["limits", "--", "--set", "x"])
+    @example(line=["-h"])
+    @example(line=[])
+    def test_one_pass_matches_argparse(self, line):
+        # wherever the one-pass reader returns, argparse reads the same
+        # five fields; everywhere else both end in the same exit code
+        def outcome(parse):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    return parse(line)
+                except SystemExit as exc:
+                    return "exit", exc.code
+
+        def argparse_fields(line):
+            args = _parser().parse_args(line)
+            return (args.command, args.config, args.overrides, args.out,
+                    args.threads)
+
+        assert outcome(_parse_args) == outcome(argparse_fields)
+
+    def test_argparse_only_for_help_and_errors(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "COLUMNS": "80"}
+        script = ("import sys; from qfel.cli import main; "
+                  "code = main(sys.argv[1:]); "
+                  "print('argparse' in sys.modules); sys.exit(code)")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "limits", "--set", "beam.spin=-1",
+             "--out", str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+        proc = subprocess.run([sys.executable, "-m", "qfel.cli", "-h"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: qfel [-h]")
 
 
 def _percent_rows(table):
@@ -258,6 +350,45 @@ class TestExitCodes:
         assert "--set expects section.key=value, got 'beam.spin'" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("route", ["config", "set-nul", "set-surrogate"])
+    def test_unusable_output_path_key_is_2(self, route, tmp_path, capsys):
+        # the key rejects a path the OS or the header echo cannot take
+        argv = ["limits"]
+        if route == "config":
+            path = tmp_path / "nul.cfg"
+            path.write_text("output.path = a\0b.csv\n")
+            argv += ["--config", str(path)]
+        else:
+            bad = "\0" if route == "set-nul" else "\ud800"
+            argv += ["--set", f"output.path={tmp_path}/a{bad}b.csv"]
+        assert main(argv) == 2
+        assert "config error: output.path: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["\0", "\ud800"])
+    def test_unusable_out_path_is_2(self, bad, tmp_path, capsys):
+        assert main(["limits", "--out", f"{tmp_path}/a{bad}b.csv"]) == 2
+        assert "cannot write the output file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["\0", "\ud800"])
+    def test_unusable_config_path_is_2(self, bad, tmp_path):
+        # the message repeats the path, which a StringIO takes as it is
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["limits", "--config", f"{tmp_path}/a{bad}b.cfg"]) == 2
+        assert "cannot read configuration file" in err.getvalue()
+
+    @pytest.mark.parametrize("key, value", [("tube.cycles", 2**62),
+                                            ("tube.sections", 2**40)])
+    def test_unbounded_tube_chain_is_2(self, key, value, monkeypatch, capsys):
+        # refused before the chain starts or a profile is allocated
+        def no_run(*args, **kwargs):
+            raise AssertionError("the tube chain started")
+
+        monkeypatch.setattr(qfel.cli, "run_multi_section", no_run)
+        assert main(["tube", "--set", f"{key}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert "tube.sections x tube.cycles exceeds" in err
+
     def test_threads_below_one_is_2(self, capsys):
         # goes with the --threads flag, which is accepted and ignored
         assert main(["limits", "--threads", "0"]) == 2
@@ -282,7 +413,6 @@ class TestExitCodes:
             err.count("\n") == 1
 
 
-COMMANDS = ("kinematics", "angular", "tube", "coherence", "limits")
 # --set pairs that keep each subcommand's report small
 SMALL_SETS = {"kinematics": ["sweep.energy_points=11"],
               "angular": ["sweep.theta_points=21"], "tube": [],
