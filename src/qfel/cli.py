@@ -489,7 +489,13 @@ def main(argv=None):
         else:
             sys.stdout.write(data.decode("utf-8"))  # may be a text stream
     except ConfigError as exc:
-        print(f"qfel: config error: {exc}", file=sys.stderr)
+        message = f"qfel: config error: {exc}"
+        try:
+            print(message, file=sys.stderr)
+        except UnicodeEncodeError:      # a path the stream cannot encode
+            enc = sys.stderr.encoding
+            print(message.encode(enc, "backslashreplace").decode(enc),
+                  file=sys.stderr)
         return 2
     except QfelError as exc:
         print(f"qfel: error: {exc}", file=sys.stderr)

@@ -44,12 +44,19 @@ class CrossSectionPoint:
 
 
 def _harmonic_sum(theta, beam: ElectronBeam, laser: LaserField,
-                  harmonic_max, keep_row=False):
+                  harmonic_max, orders=(), x=None):
     """(total, used) arrays of ``averaged_cross_section`` over a float or a
-    1-D array of angles, then with keep_row (k', F1, F2) of harmonic 1's
-    beam-spin keep channel from one solve and one call of
-    ``amplitudes._keep_components``, with no flip half (else None), its
-    Bessel factors riding in the first block, which holds every angle."""
+    1-D array of angles, and a row J_n(x) over the angles for each extra
+    order n (None when there are no angles).
+
+    The harmonics come in blocks of H = max(1, min(harmonics left,
+    2048 // angles still summing)): one Bessel call of J_{N-1} and J_{N+1}
+    over the (H, angles) block and about 20 flops per element, then the
+    sum over its rows in order of N, so every angle gets the additions and
+    the stop of a sum one harmonic at a time; terms past a stop are dropped.
+    A block ends early only before a row with an out-of-range Bessel
+    argument, whose error belongs only to harmonics some angle reaches.
+    The first block holds every angle; the extra rows ride in its call."""
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if thetas.ndim != 1:
         raise DomainError("theta must be a float or a 1-D array")
@@ -65,7 +72,7 @@ def _harmonic_sum(theta, beam: ElectronBeam, laser: LaserField,
     total = np.zeros_like(thetas)
     used = np.zeros(thetas.shape, dtype=int)
     live = np.arange(thetas.size)       # angles still summing
-    n, keep = 1, None                   # n: first harmonic of the next block
+    n, rows = 1, None                   # n: first harmonic of the next block
     with np.errstate(all="ignore"):
         # per angle, with s and s' each from its own numerator, never 1 - s
         big_s, big_c = np.sin(0.5 * thetas) ** 2, np.cos(0.5 * thetas) ** 2
@@ -88,23 +95,18 @@ def _harmonic_sum(theta, beam: ElectronBeam, laser: LaserField,
             if not in_range.all():      # end the block before that row
                 height = 1 + int(np.argmin(in_range))
                 harmonics, z = harmonics[:height], z[:height]
-            orders, args = np.ravel((harmonics - 1, harmonics + 1)), [z, z]
-            if keep_row and n == 1:     # nu = 0, +1, -1 of harmonic 1
-                kin = solve_final_state(thetas, 1, beam, laser)
-                orders = np.append(orders, (1, 0, 2))
-                args += [kin.p_perp_prime * kin.radius_prime] * 3
-            bessel = physcore.bessel_jn(orders, np.vstack(args))
+            block, xs = np.ravel((harmonics - 1, harmonics + 1)), [z, z]
+            if n == 1 and orders:       # the extra rows ride in block 1
+                block, xs = np.append(block, orders), xs + [x] * len(orders)
+            bessel = physcore.bessel_jn(block, np.vstack(xs))
             jm, jp = bessel[:height], bessel[height:2 * height]
+            rows = bessel[2 * height:] if n == 1 else rows
             m2, p2 = (jm - jp) ** 2, (jm + jp) ** 2
             u = harmonics * u1[live]
             one_u = 1.0 + u
             terms = (pref[live] * harmonics / one_u ** 2
                      * (m2 + diff2[live] * p2
                         + u * u / (2.0 * one_u) * (m2 + mix[live] * p2)))
-            if keep_row and n == 1:
-                f1, f2 = _keep_components(kin, beam, laser, beam.spin,
-                                          bessel[2 * height:])
-                keep = (kin.k_prime, f1, f2)
             # cumsum adds the rows one at a time in order of N, as a loop
             sums = np.cumsum(np.vstack((total[live], 0.5 * terms)), axis=0)[1:]
             stops = terms <= _TRUNCATION_RTOL * sums
@@ -117,7 +119,7 @@ def _harmonic_sum(theta, beam: ElectronBeam, laser: LaserField,
     if bad.any():
         raise NumericError(f"the cross section at theta={float(thetas[bad][0])} "
                            "is not finite")
-    return total, used, keep
+    return total, used, rows
 
 
 def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
@@ -126,15 +128,7 @@ def averaged_cross_section(theta, beam: ElectronBeam, laser: LaserField,
     angle or a 1-D array of angles: (1/2) sum over basis polarizations and
     both spin labels, summed over harmonics 1..harmonic_max.  An angle stops
     at the first term at most 1e-14 of its total, which ``harmonic``
-    reports.
-
-    The harmonics come in blocks of H = max(1, min(harmonics left,
-    2048 // angles still summing)): one Bessel call of J_{N-1} and J_{N+1}
-    over the (H, angles) block and about 20 flops per element, then the
-    sum over its rows in order of N, so every angle gets the additions and
-    the stop of a sum one harmonic at a time; terms past a stop are dropped.
-    A block ends early only before a row with an out-of-range Bessel
-    argument, whose error belongs only to harmonics some angle reaches."""
+    reports."""
     total, used, _ = _harmonic_sum(theta, beam, laser, harmonic_max)
     if np.ndim(theta) == 0:
         used, total = int(used[0]), float(total[0])
@@ -154,19 +148,23 @@ class AngularSpectrum:
 
 def angular_spectrum(beam: ElectronBeam, laser: LaserField, theta_grid,
                      harmonic_max=DEFAULT_HARMONIC_MAX):
-    """Averaged cross section, first-harmonic photon energy, and the
-    polarization of the beam-spin keep channel (sigma' = sigma = beam.spin)
-    over an ordered theta grid, from one harmonic sum that also takes
-    harmonic 1's k' and keep components F1, F2, all of them finite."""
+    """Averaged cross section, harmonic-1 photon energy k' and polarization
+    of the beam-spin keep channel (sigma' = sigma = beam.spin) over an
+    ordered theta grid, all finite; the keep components F1, F2 of the one
+    harmonic-1 solve take J_1, J_0, J_2 at p'_perp R' from the sum."""
     thetas = np.asarray(theta_grid, dtype=float)
     if thetas.ndim != 1 or thetas.size < 1:
         raise DomainError("theta grid must be a non-empty 1-D array")
-    avg, _, (k_prime, f1, f2) = _harmonic_sum(thetas, beam, laser,
-                                              harmonic_max, keep_row=True)
-    bad = ~np.isfinite((k_prime, f1, f2)).all(axis=0)
+    with np.errstate(all="ignore"):     # solved before the grid is checked
+        kin = solve_final_state(thetas, 1, beam, laser)
+        avg, _, rows = _harmonic_sum(
+            thetas, beam, laser, harmonic_max, (1, 0, 2),
+            kin.p_perp_prime * kin.radius_prime)
+        f1, f2 = _keep_components(kin, beam, laser, beam.spin, rows)
+    bad = ~np.isfinite((kin.k_prime, f1, f2)).all(axis=0)
     if bad.any():
         raise NumericError("the harmonic-1 photon energy or polarization at "
                            f"theta={float(thetas[bad][0])} is not finite")
     pol = _unit_polarization(*_keep_vector(f1, f2, polarization_basis(thetas)))
-    return AngularSpectrum(thetas=thetas, k_prime=k_prime, averaged=avg,
+    return AngularSpectrum(thetas=thetas, k_prime=kin.k_prime, averaged=avg,
                            polarization_x=pol[:, 0], polarization_y=pol[:, 1])

@@ -7,7 +7,7 @@ line, and the sha256 of the file the same call writes with ``--out``
 Warnings are written as ``Category: message``, without the file and
 line that raised them, so that moved code does not count.
 The calls are every job of the three benchmark workloads at seeds 7,
-11, 51 and 311, the five subcommands at their defaults, and twenty-one
+11, 51 and 311, the five subcommands at their defaults, and twenty-six
 non-default or failing calls, help and argparse's usage errors among
 them.  Run it under each checkout's sources and compare the outputs;
 argparse wraps help to the terminal width, so fix it::
@@ -64,6 +64,15 @@ EXTRA = [
     ["limits", "--threads", "x", "--threads", "2"],
     ["limits", "--se", "beam.spin=-1"],                     # abbreviation
     ["--set=beam.spin=-1", "limits", "--threads=3"],
+    ["angular", "--set", "laser.intensity_w_m2=1e24",
+     "--set", "sweep.harmonic_max=60",
+     "--set", "sweep.theta_points=301"],                # many blocks, x > 9
+    ["angular", "--set", "laser.intensity_w_m2=1e28",
+     "--set", "sweep.harmonic_max=60",
+     "--set", "sweep.theta_points=41"],
+    ["angular", "--set", "beam.energy_mev=0.51099895"],    # at rest, exit 3
+    ["angular", "--set", "laser.intensity_w_m2=0"],        # closed, exit 3
+    ["limits", "--config", "/nonexistent/qfel.cfg"],       # exit 2
 ]
 
 

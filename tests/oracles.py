@@ -8,12 +8,12 @@ for the zero-amplitude limit of the cross section the Klein-Nishina formula
 (rest-frame formula plus exact boost) and the photon content of the laser
 wave; for the flux factor the prefactor of the transition rate; for the
 blocked harmonic sum the same sum of squares taken one harmonic at a time,
-and the coefficient-table form of each term, summed the same way; for the
-angular sweep the sweep that evaluates harmonic 1 a second time beside the
-sum; for the polarization basis and the spin-keep vector the forms that
-stack their columns and join real and imaginary parts from temporaries;
-for the tube report's rows a '%.11e' writer that takes one row at a
-time."""
+the coefficient-table form of each term, summed the same way, and the
+closed form of the forward value; for the angular sweep the sweep that
+evaluates harmonic 1 a second time beside the sum; for the polarization
+basis and the spin-keep vector the forms that stack their columns and
+join real and imaginary parts from temporaries; for the tube report's
+rows a '%.11e' writer that takes one row at a time."""
 
 import math
 
@@ -350,6 +350,20 @@ def averaged_cross_section_squares(thetas, beam: ElectronBeam,
                    + u * u / (2.0 * (1.0 + u)) * (m2 + mix[live] * p2)))
 
     return _one_harmonic_at_a_time(thetas, harmonic_max, term_of)
+
+
+def forward_cross_section(beam: ElectronBeam, laser: LaserField):
+    """``averaged_cross_section(pi)``, the tube's gain coefficient, in
+    closed form.  At theta = pi, S = 1 and C = 0, so w = 0: harmonic 1 has
+    P = M = 1 with (s-bar - s)^2 = 1 - w^2 = 1, and every term from N = 2
+    on is 0.  With D = (1 + xi^2)/d0 in ``pref`` and u = 2 k d0/(1 + xi^2),
+    the sum is pref (2 + u^2/(1 + u)) / (2 (1 + u)^2)."""
+    xi2, d0, k = laser.ea * laser.ea, beam.e_minus_pz, laser.k
+    big_d = (1.0 + xi2) / d0
+    pref = (physcore.FINE_STRUCTURE * xi2 * k * d0
+            / (4.0 * math.pi * abs(beam.pz) * big_d * big_d))
+    u = 2.0 * k * d0 / (1.0 + xi2)
+    return pref * (2.0 + u * u / (1.0 + u)) / (2.0 * (1.0 + u) ** 2)
 
 
 def angular_spectrum_two_pass(beam: ElectronBeam, laser: LaserField,

@@ -64,6 +64,12 @@ def run_quiet(args):
         return main(list(args)), out.getvalue()
 
 
+def _strict_utf8():
+    """A text stream that raises on what UTF-8 cannot encode (a lone
+    surrogate), where ``sys.stderr`` would escape it."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+
+
 def data_rows(text):
     return [line for line in text.splitlines() if not line.startswith("#")]
 
@@ -371,11 +377,36 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("bad", ["\0", "\ud800"])
     def test_unusable_config_path_is_2(self, bad, tmp_path):
-        # the message repeats the path, which a StringIO takes as it is
-        err = io.StringIO()
+        # the message repeats the path, escaped where the stream cannot
+        # encode it
+        err = _strict_utf8()
         with contextlib.redirect_stderr(err):
             assert main(["limits", "--config", f"{tmp_path}/a{bad}b.cfg"]) == 2
-        assert "cannot read configuration file" in err.getvalue()
+        err.flush()
+        want = f"{tmp_path}/a{bad}b.cfg".encode("utf-8", "backslashreplace")
+        assert b"cannot read configuration file " + want + b": " \
+            in err.buffer.getvalue()
+
+    @pytest.mark.parametrize("route", ["unreadable", "no-equals"])
+    def test_unencodable_config_path_is_2_on_a_strict_stream(self, route,
+                                                             tmp_path):
+        # both messages that echo the path end in exit 2, with only the
+        # character the stream cannot take escaped
+        if route == "unreadable":
+            path, tail = f"{tmp_path}/\u00e9\ud800.cfg", ": "
+        else:                           # a file name that is not UTF-8
+            path, tail = f"{tmp_path}/\u00e9\udcff.cfg", ":1: expected"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("beam.energy_mev 307\n")
+        err = _strict_utf8()
+        with contextlib.redirect_stderr(err):
+            assert main(["limits", "--config", path]) == 2
+        err.flush()
+        got = err.buffer.getvalue().decode("utf-8")
+        assert got.startswith("qfel: config error: ")
+        assert path.encode("utf-8", "backslashreplace").decode("utf-8") \
+            + tail in got
+        assert "\u00e9" in got and "\\u00e9" not in got
 
     @pytest.mark.parametrize("key, value", [("tube.cycles", 2**62),
                                             ("tube.sections", 2**40)])

@@ -5,6 +5,7 @@ harmonic term."""
 import importlib.util
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from qfel import physcore
 from oracles import (angular_spectrum_two_pass,
                      averaged_cross_section_per_harmonic,
                      averaged_cross_section_squares, channel_prefactor,
-                     klein_nishina_reference, klein_nishina_rest,
-                     photon_density_compton, sum_of_squares_factors,
-                     transition_rate_prefactor)
+                     forward_cross_section, klein_nishina_reference,
+                     klein_nishina_rest, photon_density_compton,
+                     sum_of_squares_factors, transition_rate_prefactor)
 from qfel.beamfield import LaserField, make_beam
 from qfel.amplitudes import outgoing_polarization
 from qfel.emission import (_TRUNCATION_RTOL, angular_spectrum,
@@ -58,6 +59,31 @@ class TestAveraged:
             hi = averaged_cross_section(frac * math.pi, BEAM, LASER,
                                         harmonic_max=8).value
             assert hi == pytest.approx(lo, rel=1e-10)
+
+    def test_forward_value_is_the_closed_form(self):
+        # at theta = pi only harmonic 1 is left, with P = M = 1, so the sum
+        # with no extra Bessel rows has a closed form
+        # (oracles.forward_cross_section), 0 at 0 W/m^2.  Of the 950
+        # nonzero values, 793 agree bit for bit (the floor leaves room for
+        # another libm) and the rest within 4 ulp: the code forms u/N as
+        # 2 k S/D and each term in another order of roundings
+        exact, worst = 0, 0.0
+        for energy in np.geomspace(0.511, 1e6, 25).tolist():
+            for direction in ("head_on", "co_propagating"):
+                beam = make_beam(energy, direction=direction)
+                laser = LaserField(785.0, 0.0)
+                assert averaged_cross_section(math.pi, beam, laser).value \
+                    == forward_cross_section(beam, laser) == 0.0
+                with pytest.raises(NumericError, match="no gain"):
+                    gain_coefficient(beam, laser)
+                for intensity in (10.0 ** e for e in range(10, 29)):
+                    laser = LaserField(785.0, intensity)
+                    got = averaged_cross_section(math.pi, beam, laser).value
+                    want = forward_cross_section(beam, laser)
+                    assert want > 0.0
+                    exact += got == want
+                    worst = max(worst, abs(got - want) / math.ulp(want))
+        assert worst <= 4.0 and exact >= 750
 
     def test_forward_peaked(self):
         mid = averaged_cross_section(0.5 * math.pi, BEAM, LASER).value
@@ -223,9 +249,28 @@ class TestAngularSpectrum:
             # at 1e28 W/m^2 more than 1024 angles run to cap 60
             assert max(h for _, h, _ in sweep) > 1 or intensity == 1e28
 
+    @pytest.mark.parametrize("grid, cap, message", [
+        ([0.5, math.inf], 8, "theta must lie in [0, pi], got inf"),
+        ([math.nan, 0.5], 8, "theta must lie in [0, pi], got nan"),
+        ([0.5, 4.0], 8, "theta must lie in [0, pi], got 4.0"),
+        ([0.5, math.pi], 0, "harmonic_max must be >= 1, got 0")])
+    def test_solve_before_the_grid_check_stays_silent(self, grid, cap,
+                                                      message):
+        # the sweep's harmonic-1 solve runs before the sum checks the grid,
+        # under the same silenced error state: a bad grid or cap ends in
+        # the sum's own error, never in a warning from the solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as caught:
+                angular_spectrum(BEAM, LASER, np.array(grid),
+                                 harmonic_max=cap)
+        assert str(caught.value) == message
+
     def test_invalid_grid(self):
         with pytest.raises(DomainError):
             angular_spectrum(BEAM, LASER, np.array([[0.1]]))
+        with pytest.raises(DomainError, match="non-empty"):
+            angular_spectrum(BEAM, LASER, np.array([]))
         with pytest.raises(DomainError):
             angular_spectrum(BEAM, LASER, np.array([4.0]))
 
