@@ -41,6 +41,7 @@ _MAX_POINTS = 2**40     # sweep points: one float64 column of more fits no host
 # tube.sections x tube.cycles float steps of the chain: 2.0-2.4 us each
 # (2-CPU host), so the bound is about 35-40 s
 _MAX_TUBE_STEPS = 2**24
+_MAX_TUBE_SECTIONS = 2**13  # profile rows: 50-85 kB of peak RSS each, 0.7 GB
 
 
 def _path_ok(path):
@@ -134,6 +135,8 @@ def parse_config(path=None, overrides=()):
     if config["tube.sections"] * config["tube.cycles"] > _MAX_TUBE_STEPS:
         raise ConfigError(f"tube.sections x tube.cycles exceeds "
                           f"{_MAX_TUBE_STEPS} chain steps")
+    if config["tube.sections"] > _MAX_TUBE_SECTIONS:
+        raise ConfigError(f"tube.sections exceeds {_MAX_TUBE_SECTIONS}")
     return config
 
 

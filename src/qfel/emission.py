@@ -4,8 +4,8 @@ Cross sections follow the convention of the source framework: the
 differential cross section of a piece of the background wave of one
 Compton volume, in Compton-wavelength-squared units per steradian,
 into an empty photon mode.  Stimulated emission enters through the
-balance equation of ``tube``, whose gain coefficient is the forward
-value of ``averaged_cross_section``.
+balance equation of ``tube``, whose gain coefficient is the sum below at
+theta = pi, where only harmonic 1 adds (``tube.gain_coefficient``).
 
 ``averaged_cross_section`` and ``angular_spectrum`` are views of one
 blocked sum of the Nikishov-Ritus circular-polarization rate (Berestetskii,

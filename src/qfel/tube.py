@@ -5,8 +5,8 @@ n(l), the final-electron density n'(l), and the photon density N(l):
 
     lambda_c dn/dl = a [2 n^2 - (2 N0 + 3 n0 + 1) n + n0 (n0 + N0)]
 
-with the position-independent gain coefficient a taken from the forward
-spin-averaged cross section.  Densities are dimensionless inside this
+with the position-independent gain coefficient a, the forward spin-averaged
+cross section in closed form.  Densities are dimensionless inside this
 module (particles per Compton volume); SI m^-3 only at the boundary.
 
 Caveat carried through every report: realistic beam densities of order
@@ -36,7 +36,6 @@ import numpy as np
 
 from . import physcore
 from .beamfield import ElectronBeam, LaserField
-from .emission import averaged_cross_section
 from .errors import DomainError, NumericError
 from .kinematics import solve_final_state
 
@@ -95,11 +94,24 @@ class TubeProfile:
 
 
 def gain_coefficient(beam: ElectronBeam, laser: LaserField):
-    """Gain coefficient a (forward spin-averaged cross section per occupation
-    quantum) and the gain length lambda_c / a in meters."""
-    a = averaged_cross_section(math.pi, beam, laser).value
-    if a <= 0.0:
-        raise NumericError("forward cross section vanished; no gain")
+    """Gain coefficient a, the sum of ``emission`` at theta = pi exactly, and
+    the gain length lambda_c / a [m].  There S = 1 and C = 0, so s = 1,
+    s' = 0, w = 0 and D = (1 + xi^2)/d0; as J_n(0) = 0 for n != 0, harmonic
+    1 alone adds, with P = M = 1 and (s' - s)^2 = 1 - w^2 = 1.  So with the
+    sum's pref and u = 2 k/D, a = pref/(1 + u)^2 (2 + u^2/(1 + u))/2, in the
+    sum's order of roundings; squares are products, as float ** raises."""
+    if beam.pz == 0.0:
+        raise DomainError("the cross section per unit flux is undefined for a "
+                          "beam at rest")
+    xi2, d0, k = laser.ea * laser.ea, beam.e_minus_pz, laser.k
+    big_d = (1.0 + xi2) / d0
+    pref = (physcore.FINE_STRUCTURE * xi2 * k * d0
+            / (4.0 * math.pi * abs(beam.pz) * big_d * big_d))
+    u = 2.0 * k / big_d
+    a = 0.5 * (pref / ((1.0 + u) * (1.0 + u)) * (2.0 + u * u / (1.0 + u)))
+    if not 0.0 < a < math.inf:
+        raise NumericError("forward cross section vanished; no gain" if a == 0.0
+                           else f"the forward cross section {a} is not finite")
     return a, physcore.COMPTON_WAVELENGTH_M / a
 
 

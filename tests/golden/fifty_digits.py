@@ -16,9 +16,11 @@ and flip halves of ``qfel.amplitudes`` with mpmath Bessel functions.  The
 cross section is summed with qfel's stop from either of two forms of its
 harmonic term: the squared spin vectors of those tables (``table_term``,
 the default) or the sum of squares of J_{N-1} and J_{N+1} that
-``qfel.emission`` sums (``squares_term``).  A tube's gain coefficient is
-that cross section at theta = pi, and its sections are chained through
-the seeded closed form u = (n - lo)/(n - hi) = u(0) exp(-a d l /
+``qfel.emission`` sums (``squares_term``).  The gain coefficient of a
+tube or ``limits`` file is that cross section at theta = pi itself, not at
+the float next to it; a ``limits`` file's critical density and wiggling
+radius follow from k, eA and E - p_z, and a tube's sections are chained
+through the seeded closed form u = (n - lo)/(n - hi) = u(0) exp(-a d l /
 lambda_c), whose differences n0 - n run at twice the digits.  Given an
 older and a newer file of one configuration, the report also counts the
 cells that differ between them.  Needs ``mpmath`` (test-only).
@@ -198,7 +200,7 @@ def tube(config, beam, k, ea):
     length = float(config["tube.section_length_m"])
     sections, cycles = int(config["tube.sections"]), int(config["tube.cycles"])
     efficiency = mp.mpf(float(config["tube.reflection_efficiency"]))
-    a = harmonic_sum(mp.mpf(math.pi), beam, k, ea, DEFAULT_HARMONIC_MAX)
+    a = harmonic_sum(mp.pi, beam, k, ea, DEFAULT_HARMONIC_MAX)
     kp_mev = final_state(mp.mpf(math.pi), 1, beam, k, ea)[0] * MEV
     seed = mp.mpf(density_si_to_compton(float(config["tube.seed_density_m3"])))
     for cycle in range(cycles):
@@ -273,6 +275,14 @@ def references(command, config):
     beam = Beam(float(config["beam.energy_mev"]), direction, spin)
     if command == "tube":
         return cells(*tube(config, beam, k, ea))
+    if command == "limits":
+        lc = mp.mpf(physcore.COMPTON_WAVELENGTH_M)
+        a = harmonic_sum(mp.pi, beam, k, ea, DEFAULT_HARMONIC_MAX)
+        return cells([], {
+            "coherence amplitude eA": ea, "laser photon energy [m_e]": k,
+            "critical density [1/m^3]": (mp.sqrt(ALPHA / (ea * k)) * lc) ** -3,
+            "gain coefficient a": a, "gain length lambda_c/a [m]": lc / a,
+            "wiggling radius R": ea / (k * beam.d)})
     harmonic_max = int(config["sweep.harmonic_max"])
     rows = []
     for theta in np.linspace(0.0, math.pi, int(config["sweep.theta_points"])):

@@ -7,7 +7,7 @@ line, and the sha256 of the file the same call writes with ``--out``
 Warnings are written as ``Category: message``, without the file and
 line that raised them, so that moved code does not count.
 The calls are every job of the three benchmark workloads at seeds 7,
-11, 51 and 311, the five subcommands at their defaults, and twenty-six
+11, 51 and 311, the five subcommands at their defaults, and twenty-nine
 non-default or failing calls, help and argparse's usage errors among
 them.  Run it under each checkout's sources and compare the outputs;
 argparse wraps help to the terminal width, so fix it::
@@ -73,6 +73,9 @@ EXTRA = [
     ["angular", "--set", "beam.energy_mev=0.51099895"],    # at rest, exit 3
     ["angular", "--set", "laser.intensity_w_m2=0"],        # closed, exit 3
     ["limits", "--config", "/nonexistent/qfel.cfg"],       # exit 2
+    ["limits", "--set", "beam.energy_mev=1e10"],           # forward at pi
+    ["tube", "--set", "laser.intensity_w_m2=0"],           # no gain, exit 3
+    ["limits", "--set", "beam.energy_mev=0.51099895"],     # at rest, exit 3
 ]
 
 

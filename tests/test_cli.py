@@ -23,8 +23,8 @@ from hypothesis.extra.numpy import arrays
 import qfel.cli
 import qfel.tube
 from qfel.beamfield import LaserField, make_beam
-from qfel.cli import (_MAX_TUBE_STEPS, _SCHEMA, _parse_args, _parser, _rows,
-                      main, parse_config)
+from qfel.cli import (_MAX_TUBE_SECTIONS, _MAX_TUBE_STEPS, _SCHEMA,
+                      _parse_args, _parser, _rows, main, parse_config)
 from qfel.errors import ConfigError, DomainError
 from qfel.tube import run_multi_section
 
@@ -419,6 +419,42 @@ class TestExitCodes:
         assert main(["tube", "--set", f"{key}={value}"]) == 2
         err = capsys.readouterr().err
         assert "tube.sections x tube.cycles exceeds" in err
+
+    def test_tube_profile_beyond_memory_is_2(self, monkeypatch, capsys):
+        # the profile costs 50-85 kB of peak RSS per section, so a longer
+        # chain is refused before it starts; the goldens, the benchmark
+        # workloads and the identity set run at most 100 sections
+        def no_run(*args, **kwargs):
+            raise AssertionError("the tube chain started")
+
+        monkeypatch.setattr(qfel.cli, "run_multi_section", no_run)
+        assert _MAX_TUBE_SECTIONS >= 100
+        config = parse_config(None, [f"tube.sections={_MAX_TUBE_SECTIONS}"])
+        assert config["tube.sections"] == _MAX_TUBE_SECTIONS
+        assert main(["tube", "--set",
+                     f"tube.sections={_MAX_TUBE_SECTIONS + 1}"]) == 2
+        assert (f"config error: tube.sections exceeds {_MAX_TUBE_SECTIONS}\n"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("setting, codes", [
+        ("laser.intensity_w_m2=0", {"tube": 3, "limits": 3, "angular": 3,
+                                    "kinematics": 0, "coherence": 0}),
+        ("beam.energy_mev=0.51099895", {"tube": 3, "limits": 3}),
+        ("laser.intensity_w_m2=1e300", {"limits": 3})])
+    def test_degenerate_scenarios(self, setting, codes, tmp_path, capsys):
+        # no amplitude, a beam at rest, a field whose D^2 overflows: the
+        # forward gain ends tube and limits with its message, never a
+        # traceback, and the commands that need no gain run
+        message = {"beam.energy_mev=0.51099895": "the cross section per unit "
+                   "flux is undefined for a beam at rest"}.get(
+                       setting, "forward cross section vanished; no gain")
+        for command, code in codes.items():
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--set", setting, "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            if command in ("tube", "limits"):
+                assert err == f"qfel: error: {message}\n"
+            assert out.exists() == (code == 0)
 
     def test_threads_below_one_is_2(self, capsys):
         # goes with the --threads flag, which is accepted and ignored

@@ -3,13 +3,15 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import qfel.emission
 import qfel.tube
 from qfel import physcore
 from qfel.beamfield import LaserField, make_beam
-from qfel.errors import DomainError
+from qfel.errors import DomainError, NumericError, QfelError
 from decimal_oracle import tube_section
 from oracles import (balance_rhs, evolve_analytic, integrate_ode,
                      run_multi_section_per_section)
@@ -43,6 +45,74 @@ class TestGainCoefficient:
         assert length == pytest.approx(337e-9, rel=0.05)
         assert a == pytest.approx(physcore.COMPTON_WAVELENGTH_M / length,
                                   rel=1e-12)
+
+    def test_forward_value_at_high_energy(self):
+        # against pref (2 + u^2/(1 + u))/(2 (1 + u)^2), u = 2 k d0/(1 + xi^2),
+        # at 50 digits from the same floats.  A harmonic sum at
+        # fl(pi) = pi - 1.2e-16 misses it by about gamma 1.2e-16 relative
+        # (517 ulp at 1e9 MeV head-on, 5e8 ulp at 1e12 MeV).  The closed
+        # form rounds about 17 times: at most 2.7 ulp here, and 5.4 ulp on
+        # the same grid at 1e12 or 1e24 W/m^2
+        worst = 0.0
+        with mp.workdps(50):
+            xi2, k = mp.mpf(LASER.ea) ** 2, mp.mpf(LASER.k)
+            for energy in np.geomspace(1e6, 1e12, 25).tolist():
+                for direction in ("head_on", "co_propagating"):
+                    beam = make_beam(energy, direction=direction)
+                    d0 = mp.mpf(beam.e_minus_pz)
+                    big_d, u = (1 + xi2) / d0, 2 * k * d0 / (1 + xi2)
+                    want = (mp.mpf(physcore.FINE_STRUCTURE) * xi2 * k * d0
+                            / (4 * mp.pi * abs(mp.mpf(beam.pz)) * big_d ** 2)
+                            * (2 + u ** 2 / (1 + u)) / (2 * (1 + u) ** 2))
+                    got = gain_coefficient(beam, LASER)[0]
+                    worst = max(worst, float(abs(got - want) / math.ulp(got)))
+        assert worst <= 4.0
+
+    def test_no_harmonic_sum_or_bessel_function(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gain ran a harmonic sum")
+
+        want = gain_coefficient(BEAM, LASER)
+        monkeypatch.setattr(qfel.emission, "_harmonic_sum", refuse)
+        monkeypatch.setattr(physcore, "bessel_jn", refuse)
+        assert gain_coefficient(BEAM, LASER) == want
+
+    @pytest.mark.parametrize("energy, wavelength, intensity, error, match", [
+        (0.51099895, 785.0, 1e19, DomainError, "undefined for a beam at rest"),
+        (307.0, 785.0, 0.0, NumericError, "vanished; no gain"),
+        (307.0, 785.0, 1e300, NumericError, "vanished; no gain"),  # D^2 = inf
+        (307.0, 1e-300, 1e19, NumericError, "nan is not finite"),  # u = inf
+        (1e100, 1e-100, 1e19, NumericError, "nan is not finite"),  # u^2 = inf
+    ])
+    def test_degenerate_gain_raises(self, energy, wavelength, intensity,
+                                    error, match):
+        with pytest.raises(error, match=match):
+            gain_coefficient(make_beam(energy),
+                             LaserField(wavelength, intensity))
+
+    def test_extreme_inputs_raise_no_float_exception(self):
+        # Python floats raise ZeroDivisionError and, for **, OverflowError
+        # where numpy returns inf: every input make_beam and LaserField
+        # accept gives a positive finite a or a QfelError
+        outcomes = set()
+        for wavelength in (1e-300, 1e-100, 1e-10, 785.0, 1e100, 1e300):
+            for intensity in (0.0, 5e-324, 1e-300, 1.0, 1e19, 1e300, 1.7e308):
+                try:
+                    laser = LaserField(wavelength, intensity)
+                except DomainError:
+                    continue
+                for energy in (0.51099895, math.nextafter(0.51099895, 1.0),
+                               1.0, 307.0, 1e12, 1e100, 6.8e153):
+                    for direction in ("head_on", "co_propagating"):
+                        beam = make_beam(energy, direction=direction)
+                        try:
+                            a, length = gain_coefficient(beam, laser)
+                        except QfelError as exc:
+                            outcomes.add(type(exc))
+                            continue
+                        assert 0.0 < a < math.inf and length > 0.0
+                        outcomes.add(float)
+        assert outcomes == {float, DomainError, NumericError}
 
 
 class TestClosedFormsVsRK4:
